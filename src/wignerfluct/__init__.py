@@ -58,7 +58,6 @@ from .graphs import (
 )
 from .montecarlo import (
     TraceSamples,
-    convergence_sweep,
     empirical_cov,
     empirical_cumulants,
     is_gaussian,

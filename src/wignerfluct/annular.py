@@ -293,11 +293,6 @@ def is_non_mixing(pairing, labels, strict_through_same=False):
     return True
 
 
-def through_labels(pairing, labels):
-    """Labels carried by the through strings (one per string, at the outer end)."""
-    return [labels[i - 1] for i, _ in pairing.through_strings()]
-
-
 def _disc_is_noncrossing(match, k):
     pairs = [(i, match[i]) for i in range(1, k + 1) if i < match[i]]
     for (a, b), (c, d) in itertools.combinations(pairs, 2):

@@ -16,12 +16,16 @@ Experiments are described by a JSON config:
 The family's dimension is taken from N, so the same config drives
 convergence sweeps.  Reports are plain JSON with a schema_version and a
 config hash that is invariant under key reordering.
+
+Exit codes: 0 ok, 1 discrepancy (compare and report), 2 config, input or
+resource error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -219,8 +223,7 @@ def _base_record(cfg):
     }
 
 
-def _theory_rows(cfg, n):
-    family = cfg.family(n)
+def _theory_rows(cfg, family):
     state = FiniteNState(family)
     rows = []
     for p, q in cfg.pairs:
@@ -259,13 +262,13 @@ def cmd_pairings(args):
 def cmd_theory(args):
     cfg = parse_config(args.config)
     record = _base_record(cfg)
-    record["theory"] = {str(n): _theory_rows(cfg, n) for n in cfg.n_list}
+    record["theory"] = {str(n): _theory_rows(cfg, cfg.family(n)) for n in cfg.n_list}
     _emit(record, args.out)
     return 0
 
 
-def _mc_block(cfg, n, seed):
-    family = cfg.family(n)
+def _mc_block(cfg, family, seed):
+    n = family.N
     monos = cfg.monomials()
     samples = run_traces(monos, n, cfg.r, cfg.laws, family, seed)
     pairs_out = []
@@ -288,7 +291,7 @@ def cmd_mc(args):
     cfg = parse_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     record = _base_record(cfg)
-    record["mc"] = [_mc_block(cfg, n, seed) for n in cfg.n_list]
+    record["mc"] = [_mc_block(cfg, cfg.family(n), seed) for n in cfg.n_list]
     _emit(record, args.out)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -359,15 +362,19 @@ def cmd_oracle(args):
     return 0
 
 
-def _compare_record(cfg, seed, with_cumulants=False):
+def cmd_compare(args, with_cumulants=False):
+    """compare (and, with cumulants, report): theory against MC and the oracle."""
+    cfg = parse_config(args.config)
+    seed = args.seed if args.seed is not None else cfg.seed
+    started = time.time()
     record = _base_record(cfg)
     runs = []
     any_flag = False
     for n in cfg.n_list:
-        theory = _theory_rows(cfg, n)
-        mc = _mc_block(cfg, n, seed)
-        rows = []
         family = cfg.family(n)
+        theory = _theory_rows(cfg, family)
+        mc = _mc_block(cfg, family, seed)
+        rows = []
         for t_row, m_row, (p, q) in zip(theory, mc["covariances"], cfg.pairs):
             theory_val = complex(t_row["total"]["re"], t_row["total"]["im"])
             est = complex(m_row["estimate"]["re"], m_row["estimate"]["im"])
@@ -393,27 +400,9 @@ def _compare_record(cfg, seed, with_cumulants=False):
         runs.append(block)
     record["runs"] = runs
     record["discrepancy"] = any_flag
-    return record, (1 if any_flag else 0)
-
-
-def cmd_compare(args):
-    cfg = parse_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
-    started = time.time()
-    record, code = _compare_record(cfg, seed)
     record["timing"] = {"seconds": time.time() - started}
     _emit(record, args.out)
-    return code
-
-
-def cmd_report(args):
-    cfg = parse_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
-    started = time.time()
-    record, code = _compare_record(cfg, seed, with_cumulants=True)
-    record["timing"] = {"seconds": time.time() - started}
-    _emit(record, args.out)
-    return code
+    return 1 if any_flag else 0
 
 
 def build_parser():
@@ -435,7 +424,7 @@ def build_parser():
         ("mc", cmd_mc, ["seed", "csv"]),
         ("oracle", cmd_oracle, ["dump"]),
         ("compare", cmd_compare, ["seed"]),
-        ("report", cmd_report, ["seed"]),
+        ("report", functools.partial(cmd_compare, with_cumulants=True), ["seed"]),
     ]:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
@@ -458,7 +447,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -191,33 +191,3 @@ def is_gaussian(samples, p, sigmas=5.0):
         if order >= 3 and abs(value) > sigmas * se:
             ok = False
     return ok, cums
-
-
-def convergence_sweep(p, q, n_list, r, ensembles, family_factory, params,
-                      state_factory, master_seed, phi2_fn):
-    """Empirical covariance against the limit value over a range of N.
-
-    ``family_factory(N)`` builds the deterministic family at each size and
-    ``state_factory(family)`` the evaluation state for the limit formula.
-    Returns a list of row dicts and a flag telling whether the absolute
-    error decreased monotonically (informational only).
-    """
-    rows = []
-    for n in n_list:
-        family = family_factory(n)
-        state = state_factory(family)
-        theory = phi2_fn(p, q, params, state)
-        samples = run_traces([p, q], n, r, ensembles, family, master_seed)
-        est, se = empirical_cov(samples, p, q)
-        rows.append(
-            {
-                "N": n,
-                "estimate": est,
-                "std_error": se,
-                "theory": theory,
-                "abs_error": abs(est - theory),
-            }
-        )
-    errs = [row["abs_error"] for row in rows]
-    monotone = all(b <= a for a, b in zip(errs, errs[1:]))
-    return rows, monotone

@@ -1,8 +1,13 @@
 """Concrete deterministic families and the functionals phi, phi_hadamard, phi_t.
 
-The primary backend evaluates words on an N x N family of matrices
-(``FiniteNState``); a symbolic table backend exists for abstract states but
-is not used by the acceptance fixtures.
+One state class, ``FiniteNState``, evaluates the functionals the covariance
+sum needs and memoizes them as scalars.  ``phi`` is keyed on the cyclically
+minimized factor tuple of its word, ``phi_hadamard`` on the unordered pair
+of its arguments' factor tuples, each taken up to a transpose of the whole
+word, and ``phi_transpose(p, q)`` is ``phi`` of p followed by the reversed
+transposes of q.  On a miss the value is computed on the state's N x N
+family; a state without a family (``SymbolicState``, built from tables of
+an abstract limit) raises ``KeyError`` instead.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .annular import kreweras, through_cycles
-from .words import DetLetter, IDENTITY_LETTER
+from .words import DetLetter
 
 
 def operator_norm_estimate(mat, iters=60, seed=0):
@@ -54,12 +59,22 @@ class DetFamily:
         self._letter_cache = {}
         self._diag_cache = {}
 
+    def _product(self, mats):
+        # I @ A is exact for finite A, so starting from the first factor
+        # changes no value and leaves a single factor uncopied.
+        if not mats:
+            return np.eye(self.N, dtype=complex)
+        out = mats[0]
+        for m in mats[1:]:
+            out = out @ m
+        return out
+
     def letter_matrix(self, letter):
         """Matrix of a (possibly fused) deterministic letter, cached."""
         cached = self._letter_cache.get(letter)
         if cached is not None:
             return cached
-        out = np.eye(self.N, dtype=complex)
+        mats = []
         for j, star, transpose in letter.factors:
             if not 0 <= j < len(self.matrices):
                 raise IndexError("family has no matrix with index %d" % j)
@@ -68,7 +83,8 @@ class DetFamily:
                 m = m.conj().T
             if transpose:
                 m = m.T
-            out = out @ m
+            mats.append(m)
+        out = self._product(mats)
         self._letter_cache[letter] = out
         return out
 
@@ -91,46 +107,11 @@ class DetFamily:
         return got
 
     def word_matrix(self, letters):
-        out = np.eye(self.N, dtype=complex)
-        for letter in letters:
-            out = out @ self.letter_matrix(letter)
-        return out
+        """Product matrix of a word of deterministic letters (read-only).
 
-
-def eval_word(letters, family):
-    """Product matrix of a word of deterministic letters."""
-    return family.word_matrix(letters)
-
-
-class FiniteNState:
-    """Word-evaluation backend over a concrete DetFamily.
-
-    phi is the normalized trace, phi_hadamard the normalized trace of the
-    entry-wise product (which only sees diagonals), phi_transpose the
-    normalized trace of p q^t.
-    """
-
-    def __init__(self, family):
-        self.family = family
-
-    @property
-    def N(self):
-        return self.family.N
-
-    def phi(self, letters):
-        if not letters:
-            return 1.0 + 0.0j
-        return complex(np.trace(self.family.word_matrix(letters)) / self.N)
-
-    def phi_hadamard(self, letters_p, letters_q):
-        p = self.family.word_matrix(letters_p)
-        q = self.family.word_matrix(letters_q)
-        return complex(np.sum(np.diagonal(p) * np.diagonal(q)) / self.N)
-
-    def phi_transpose(self, letters_p, letters_q):
-        p = self.family.word_matrix(letters_p)
-        q = self.family.word_matrix(letters_q)
-        return complex(np.trace(p @ q.T) / self.N)
+        A one-letter word returns the cached letter matrix itself.
+        """
+        return self._product([self.letter_matrix(letter) for letter in letters])
 
 
 def _cyclic_min(key):
@@ -143,50 +124,76 @@ def _word_key(letters):
     return tuple(f for letter in letters for f in letter.factors)
 
 
-class SymbolicState:
-    """Table-backed state for abstract limits.
+def _hadamard_key(key):
+    # a word and its transpose have the same diagonal
+    return min(key, DetLetter(key).transpose().factors)
 
-    ``phi_table`` maps cyclically-minimized factor tuples to values;
-    ``hadamard_table`` maps (unordered) pairs of factor tuples.  A top-level
-    transpose of a whole hadamard argument is dropped before lookup, matching
-    phi_hadamard(a, b^t) = phi_hadamard(a, b).
+
+class FiniteNState:
+    """The one state: phi, phi_hadamard and phi_transpose, memoized.
+
+    phi is the normalized trace, phi_hadamard the normalized trace of the
+    entry-wise product (which only sees diagonals), phi_transpose the
+    normalized trace of p q^t.  Values are computed on ``family`` the first
+    time a key is seen; with ``family=None`` an unknown key raises KeyError.
     """
 
-    def __init__(self, phi_table, hadamard_table=None):
-        self.phi_table = {_cyclic_min(k): v for k, v in phi_table.items()}
-        self.hadamard_table = {
-            frozenset([ka, kb]): v for (ka, kb), v in (hadamard_table or {}).items()
-        }
+    def __init__(self, family):
+        self.family = family
+        self._phi = {}
+        self._hadamard = {}
+
+    @property
+    def N(self):
+        return self.family.N
 
     def phi(self, letters):
-        if not letters:
-            return 1.0 + 0.0j
         key = _cyclic_min(_word_key(letters))
         if not key:
             return 1.0 + 0.0j
-        try:
-            return complex(self.phi_table[key])
-        except KeyError:
-            raise KeyError("no symbolic table entry for word %r" % (key,))
-
-    def _hadamard_arg_key(self, letters):
-        word = DetLetter(_word_key(letters))
-        plain = DetLetter(_word_key([letter for letter in letters]))
-        # drop a top-level transpose: a fully transposed word reverses back
-        untransposed = word.transpose()
-        return min(plain.factors, untransposed.factors)
+        got = self._phi.get(key)
+        if got is None:
+            if self.family is None:
+                raise KeyError("no symbolic table entry for word %r" % (key,))
+            got = complex(np.trace(self.family.word_matrix(letters)) / self.N)
+            self._phi[key] = got
+        return got
 
     def phi_hadamard(self, letters_p, letters_q):
-        ka = self._hadamard_arg_key(letters_p)
-        kb = self._hadamard_arg_key(letters_q)
-        try:
-            return complex(self.hadamard_table[frozenset([ka, kb])])
-        except KeyError:
-            raise KeyError("no symbolic hadamard entry for (%r, %r)" % (ka, kb))
+        ka = _hadamard_key(_word_key(letters_p))
+        kb = _hadamard_key(_word_key(letters_q))
+        key = frozenset([ka, kb])
+        got = self._hadamard.get(key)
+        if got is None:
+            if self.family is None:
+                raise KeyError("no symbolic hadamard entry for (%r, %r)" % (ka, kb))
+            p = self.family.word_matrix(letters_p)
+            q = self.family.word_matrix(letters_q)
+            got = complex(np.sum(np.diagonal(p) * np.diagonal(q)) / self.N)
+            self._hadamard[key] = got
+        return got
 
     def phi_transpose(self, letters_p, letters_q):
         rev = [letter.transpose() for letter in reversed(letters_q)]
         return self.phi(list(letters_p) + rev)
+
+
+class SymbolicState(FiniteNState):
+    """A state given by tables for abstract limits, with no matrix family.
+
+    ``phi_table`` maps factor tuples to values; ``hadamard_table`` maps pairs
+    of factor tuples.  Keys are normalized as ``FiniteNState`` keys them, so
+    a table entry answers every rotation of its word (phi) and either
+    transpose of each argument (phi_hadamard).
+    """
+
+    def __init__(self, phi_table, hadamard_table=None):
+        super().__init__(None)
+        self._phi = {_cyclic_min(k): complex(v) for k, v in phi_table.items()}
+        self._hadamard = {
+            frozenset([_hadamard_key(ka), _hadamard_key(kb)]): complex(v)
+            for (ka, kb), v in (hadamard_table or {}).items()
+        }
 
 
 def eval_phi_K(pairing, letters, state):

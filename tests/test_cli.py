@@ -156,8 +156,22 @@ def test_report_includes_cumulants(tmp_path):
     out = tmp_path / "report.json"
     code = main(["report", "--config", cfg, "--out", str(out)])
     rec = json.loads(out.read_text())
-    assert code in (0, 1)
+    assert code == 0
+    assert rec["discrepancy"] is False
     assert "cumulants" in rec["runs"][0]
+
+
+def test_memory_guard_exits_with_input_error(tmp_path, capsys):
+    # 50 GUE ensembles at N=1000 trip run_traces' memory guard before sampling
+    ids = [str(i) for i in range(1, 51)]
+    doc = base_config()
+    doc["ensembles"] = {wid: {"preset": "gue"} for wid in ids}
+    doc["family"] = {"matrices": [{"kind": "identity"}]}
+    doc["pairs"] = [["x%s" % wid, "x%s" % wid] for wid in ids]
+    doc["N"] = 1000
+    cfg = write_config(tmp_path, doc)
+    assert main(["mc", "--config", cfg]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_main_exit_code_on_bad_config(tmp_path, capsys):

@@ -7,6 +7,8 @@ for low-degree words and against the exact finite-N partition oracle.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wignerfluct.covariance import (
     GOE,
@@ -21,8 +23,14 @@ from wignerfluct.covariance import (
     phi2_terms,
     phi2_two_term,
 )
-from wignerfluct.states import DetFamily, FiniteNState, circulant, diagonal_pattern
-from wignerfluct.words import Polynomial, parse_word
+from wignerfluct.states import (
+    DetFamily,
+    FiniteNState,
+    circulant,
+    diagonal_pattern,
+    random_fixed,
+)
+from wignerfluct.words import DetLetter, Monomial, Polynomial, parse_word
 
 IDENTITY_STATE = FiniteNState(DetFamily([np.eye(2)]))
 
@@ -207,3 +215,43 @@ def test_conjugate_cov_real_words():
     assert conjugate_cov(p, p, pars, state) == pytest.approx(
         phi2(p, p, pars, state)
     )
+
+
+LETTERS = st.lists(
+    st.tuples(st.integers(0, 1), st.booleans(), st.booleans()), max_size=2
+).map(lambda factors: DetLetter(tuple(factors)))
+MONOMIALS = st.lists(
+    st.tuples(st.sampled_from(["1", "2"]), LETTERS), min_size=1, max_size=4
+).map(lambda pairs: Monomial(tuple(pairs)))
+PARAMS = st.builds(
+    WignerParams,
+    theta=st.floats(-1, 1),
+    eta=st.floats(0, 3),
+    k4=st.floats(-1, 2),
+)
+
+
+def random_state(n, seed):
+    return FiniteNState(DetFamily([random_fixed(n, seed), random_fixed(n, seed + 1)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**31), MONOMIALS, MONOMIALS,
+       PARAMS, PARAMS, st.integers(0, 3))
+def test_phi2_symmetric_and_cyclic(n, seed, p, q, par1, par2, k):
+    assume((p.degree + q.degree) % 2 == 0)
+    state = random_state(n, seed)
+    params = {"1": par1, "2": par2}
+    value = phi2(p, q, params, state)
+    tol = 1e-10 * (1 + abs(value))
+    assert abs(phi2(q, p, params, state) - value) <= tol
+    k %= p.degree
+    rotated = Monomial(p.pairs[k:] + p.pairs[:k])
+    assert abs(phi2(rotated, q, params, state) - value) <= tol
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**31), MONOMIALS, MONOMIALS, PARAMS)
+def test_phi2_odd_total_degree_is_zero(n, seed, p, q, par):
+    assume((p.degree + q.degree) % 2 == 1)
+    assert phi2(p, q, {"1": par, "2": par}, random_state(n, seed)) == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerfluct.annular import AnnularPairing
 from wignerfluct.states import (
@@ -163,3 +165,62 @@ def test_symbolic_state_cyclic_invariance():
     ka = ((0, False, False), (1, False, False))
     state = SymbolicState({ka: 0.7})
     assert state.phi([DetLetter.base(1), DetLetter.base(0)]) == 0.7
+
+
+def test_symbolic_state_hadamard_lookup():
+    ka = ((0, False, False), (1, False, False))
+    kb = ((1, False, False),)
+    state = SymbolicState({}, {(ka, kb): 0.3})
+    a0, a1 = DetLetter.base(0), DetLetter.base(1)
+    assert state.phi_hadamard([a0, a1], [a1]) == 0.3
+    # unordered arguments, each up to a transpose of the whole word
+    assert state.phi_hadamard([a1.transpose()], [a1.transpose(), a0.transpose()]) == 0.3
+    with pytest.raises(KeyError):
+        state.phi_hadamard([a0], [a1])
+
+
+LETTERS = st.lists(
+    st.tuples(st.integers(0, 1), st.booleans(), st.booleans()), max_size=2
+).map(lambda factors: DetLetter(tuple(factors)))
+WORDS = st.lists(LETTERS, min_size=1, max_size=4)
+
+
+def direct_matrix(fam, letters):
+    """Uncached product of a word, flag by flag, from the identity."""
+    out = np.eye(fam.N, dtype=complex)
+    for letter in letters:
+        for j, star, transpose in letter.factors:
+            m = fam.matrices[j]
+            if star:
+                m = m.conj().T
+            if transpose:
+                m = m.T
+            out = out @ m
+    return out
+
+
+def transposed(letters):
+    return [letter.transpose() for letter in reversed(letters)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**31), WORDS, WORDS)
+def test_memoized_functionals_match_direct_traces(n, seed, p, q):
+    fam = DetFamily([random_fixed(n, seed), random_fixed(n, seed + 1)])
+    state = FiniteNState(fam)
+    mp, mq = direct_matrix(fam, p), direct_matrix(fam, q)
+    want_phi = np.trace(mp) / n
+    # same letters in another cyclic order: a distinct key unless a rotation
+    want_rev = np.trace(direct_matrix(fam, p[::-1])) / n
+    want_had = np.sum(np.diagonal(mp) * np.diagonal(mq)) / n
+    want_tr = np.trace(mp @ mq.T) / n
+    # the second pass, and every rotation or transpose, is served by the memo
+    for _ in range(2):
+        for k in range(len(p)):
+            assert abs(state.phi(p[k:] + p[:k]) - want_phi) < 1e-10
+        assert abs(state.phi(transposed(p)) - want_phi) < 1e-10
+        assert abs(state.phi(p[::-1]) - want_rev) < 1e-10
+        assert abs(state.phi_hadamard(p, q) - want_had) < 1e-10
+        assert abs(state.phi_hadamard(transposed(q), p) - want_had) < 1e-10
+        assert abs(state.phi_transpose(p, q) - want_tr) < 1e-10
+        assert abs(state.phi_transpose(q, p) - want_tr) < 1e-10
