@@ -3,11 +3,12 @@
 Positions are 1-based: 1..m sit on the outer circle, m+1..m+n on the inner
 circle.  A pairing is stored as a fixed-point-free involution ``match`` with
 ``match[i] = j`` iff {i, j} is a pair (index 0 of the array is unused).
+Every permutation is such a point-map tuple; ``CyclePermutation`` only wraps
+one for the public return values of ``gamma`` and the Kreweras maps.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,48 +28,53 @@ class CyclePermutation:
         if sorted(self.mapping[1:]) != list(range(1, self.size + 1)):
             raise ValueError("mapping is not a permutation of [size]")
 
-    def __call__(self, i):
-        return self.mapping[i]
-
-    @classmethod
-    def from_cycles(cls, size, cycles):
-        mapping = [0] * (size + 1)
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
-                mapping[a] = b
-        if 0 in mapping[1:]:
-            raise ValueError("cycles do not cover [size]")
-        return cls(size, tuple(mapping))
-
     @property
     def cycles(self):
         """Cycles as tuples, each starting at its minimum, sorted by minimum."""
-        seen = [False] * (self.size + 1)
-        out = []
-        for i in range(1, self.size + 1):
-            if seen[i]:
-                continue
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = self.mapping[j]
-            out.append(tuple(cyc))
-        return out
+        return _cycles(self.mapping)
 
     @property
     def num_cycles(self):
         return len(self.cycles)
 
 
+@lru_cache(maxsize=None)
+def _gamma_map(sizes):
+    """One cycle per circle, (1..s1)(s1+1..s1+s2)..., as a 1-based point map."""
+    mapping = [0]
+    for s in sizes:
+        start = len(mapping)
+        mapping += [start + (j + 1) % s for j in range(s)]
+    return tuple(mapping)
+
+
+def _kreweras_map(match, sizes):
+    """sigma * gamma, i.e. i -> match[gamma(i)], as a 1-based point map."""
+    g = _gamma_map(sizes)
+    return (0,) + tuple(match[g[i]] for i in range(1, len(g)))
+
+
+def _cycles(mapping):
+    seen = [False] * len(mapping)
+    out = []
+    for i in range(1, len(mapping)):
+        if seen[i]:
+            continue
+        cyc = []
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = mapping[j]
+        out.append(tuple(cyc))
+    return out
+
+
 def gamma(m, n):
     """The two-cycle permutation (1, 2, ..., m)(m+1, ..., m+n)."""
     if m < 1 or n < 1:
         raise ValueError("gamma requires m >= 1 and n >= 1")
-    return CyclePermutation.from_cycles(
-        m + n, [list(range(1, m + 1)), list(range(m + 1, m + n + 1))]
-    )
+    return CyclePermutation(m + n, _gamma_map((m, n)))
 
 
 def _check_involution(match, size):
@@ -93,10 +99,6 @@ class AnnularPairing:
     match: tuple
 
     def __post_init__(self):
-        size = self.m + self.n
-        _check_involution(self.match, size)
-        if not _through_pairs(self.match, self.m, self.n):
-            raise ValueError("pairing has no through string")
         if not is_annular_noncrossing(self.match, self.m, self.n):
             raise ValueError("pairing is not annular non-crossing")
 
@@ -123,19 +125,21 @@ class AnnularPairing:
 
 
 def is_annular_noncrossing(match, m, n):
-    """Cycle-count test: #cycles(sigma) + #cycles(sigma*gamma) == m+n.
+    """Genus count: 2 * #cycles(sigma * gamma) == m + n.
 
-    Valid for fixed-point-free involutions that connect the two circles,
-    which is guaranteed here by requiring at least one through string.
+    A pairing sigma that, together with gamma, acts transitively on its
+    points satisfies #(sigma) + #(sigma gamma) + #(gamma) = m + n + 2 - 2g,
+    and it is non-crossing exactly when its genus g is 0.  With
+    #(sigma) = (m+n)/2 and #(gamma) = 2 this reads 2 #(sigma gamma) = m + n.
+    At least one through string is required, which makes the action
+    transitive.  The disc is the same count with one circle of k points:
+    2 #(sigma gamma) = k + 2.
     """
     size = m + n
     _check_involution(match, size)
     if not _through_pairs(match, m, n):
         raise ValueError("candidate has no through string")
-    g = gamma(m, n)
-    sigma = CyclePermutation(size, tuple(match))
-    k = CyclePermutation(size, tuple(match[g(i)] if i else 0 for i in range(size + 1)))
-    return sigma.num_cycles + k.num_cycles == size
+    return 2 * len(_cycles(_kreweras_map(match, (m, n)))) == size
 
 
 def is_annular_noncrossing_recursive(match, m, n):
@@ -207,15 +211,13 @@ def _involutions(size):
 
 
 @lru_cache(maxsize=None)
-def _enumerate_nc2_cached(m, n, limit):
+def _enumerate_nc2_cached(m, n):
     size = m + n
     if size % 2:
         return ()
     out = []
     for match in _involutions(size):
-        if not _through_pairs(match, m, n):
-            continue
-        if is_annular_noncrossing(match, m, n):
+        if _through_pairs(match, m, n) and is_annular_noncrossing(match, m, n):
             out.append(AnnularPairing(m, n, match))
     out.sort(key=lambda p: p.match)
     return tuple(out)
@@ -231,7 +233,7 @@ def enumerate_nc2(m, n, limit=DEFAULT_SIZE_LIMIT):
         raise ValueError("m and n must be >= 1")
     if m + n > limit:
         raise ValueError("m+n=%d exceeds enumeration cap %d" % (m + n, limit))
-    return list(_enumerate_nc2_cached(m, n, limit))
+    return list(_enumerate_nc2_cached(m, n))
 
 
 def filter_by_through(pairings, l):
@@ -241,9 +243,8 @@ def filter_by_through(pairings, l):
 
 def kreweras(pairing):
     """The Kreweras complement K(sigma) = sigma * gamma, i.e. i -> sigma(gamma(i))."""
-    g = gamma(pairing.m, pairing.n)
-    mapping = [0] + [pairing.match[g(i)] for i in range(1, pairing.size + 1)]
-    return CyclePermutation(pairing.size, tuple(mapping))
+    mapping = _kreweras_map(pairing.match, (pairing.m, pairing.n))
+    return CyclePermutation(pairing.size, mapping)
 
 
 def through_cycles(kperm, m, n):
@@ -255,21 +256,15 @@ def through_cycles(kperm, m, n):
     """
     out = []
     for cyc in kperm.cycles:
-        has_outer = any(i <= m for i in cyc)
-        has_inner = any(i > m for i in cyc)
-        if not (has_outer and has_inner):
+        # an outer run starts where an outer position follows an inner one
+        starts = [r for r in range(len(cyc)) if cyc[r] <= m < cyc[r - 1]]
+        if not starts:
             continue
-        k = len(cyc)
-        for r in range(k):
-            rot = cyc[r:] + cyc[:r]
-            flags = [i <= m for i in rot]
-            if flags[0] and not flags[-1]:
-                split = flags.index(False)
-                if all(flags[:split]) and not any(flags[split:]):
-                    out.append((tuple(rot[:split]), tuple(rot[split:])))
-                    break
-        else:
+        if len(starts) > 1:
             raise ValueError("through cycle is not split into two arcs: %r" % (cyc,))
+        rot = cyc[starts[0]:] + cyc[:starts[0]]
+        split = sum(i <= m for i in cyc)
+        out.append((rot[:split], rot[split:]))
     return out
 
 
@@ -293,22 +288,16 @@ def is_non_mixing(pairing, labels, strict_through_same=False):
     return True
 
 
-def _disc_is_noncrossing(match, k):
-    pairs = [(i, match[i]) for i in range(1, k + 1) if i < match[i]]
-    for (a, b), (c, d) in itertools.combinations(pairs, 2):
-        if a < c < b < d or c < a < d < b:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _enumerate_nc2_disc_cached(k):
     if k % 2:
         return ()
     if k == 0:
         return (tuple([0]),)
+    # the genus count of is_annular_noncrossing with one circle
     return tuple(
-        match for match in _involutions(k) if _disc_is_noncrossing(match, k)
+        match for match in _involutions(k)
+        if 2 * len(_cycles(_kreweras_map(match, (k,)))) == k + 2
     )
 
 
@@ -323,6 +312,4 @@ def enumerate_nc2_disc(k, limit=DEFAULT_SIZE_LIMIT):
 
 def disc_kreweras(match, k):
     """Kreweras complement on the disc: i -> sigma(i+1) with gamma = (1..k)."""
-    g = CyclePermutation.from_cycles(k, [list(range(1, k + 1))])
-    mapping = [0] + [match[g(i)] for i in range(1, k + 1)]
-    return CyclePermutation(k, tuple(mapping))
+    return CyclePermutation(k, _kreweras_map(match, (k,)))

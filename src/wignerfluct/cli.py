@@ -47,7 +47,7 @@ from .graphs import (
     set_partitions,
 )
 from .montecarlo import empirical_cov, empirical_cumulants, run_traces
-from .states import FiniteNState, family_from_json
+from .states import FiniteNState, MatrixSpecError, family_from_json
 from .words import parse_word
 
 SCHEMA_VERSION = 1
@@ -70,6 +70,14 @@ def _require(doc, path, keys, optional=()):
     for k in doc:
         if k not in keys and k not in optional:
             _fail("%s/%s" % (path, k), "unknown key")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _frac(value, path):
@@ -108,9 +116,10 @@ class ExperimentConfig:
         return {wid: spec.law for wid, spec in self.ensembles.items()}
 
     def family(self, n):
-        doc = dict(self.family_spec)
-        doc["dim"] = n
-        return family_from_json(doc)
+        try:
+            return family_from_json(dict(self.family_spec, dim=n))
+        except MatrixSpecError as exc:
+            _fail("/family/matrices/%d" % exc.index, exc.reason)
 
     def monomials(self):
         out = []
@@ -163,6 +172,12 @@ def parse_config(path):
         wid: _resolve_ensemble(wid, spec) for wid, spec in doc["ensembles"].items()
     }
     _require(doc["family"], "/family", ["matrices"], optional=["norm_bound"])
+    if not isinstance(doc["family"]["matrices"], list) or not doc["family"]["matrices"]:
+        _fail("/family/matrices", "expected a non-empty list")
+    if doc["family"].get("norm_bound") is not None and not _is_number(
+        doc["family"]["norm_bound"]
+    ):
+        _fail("/family/norm_bound", "expected a number")
     if not isinstance(doc["pairs"], list) or not doc["pairs"]:
         _fail("/pairs", "expected a non-empty list")
     pairs = []
@@ -181,14 +196,14 @@ def parse_config(path):
         pairs.append((p, q))
     n_list = doc["N"] if isinstance(doc["N"], list) else [doc["N"]]
     for i, n in enumerate(n_list):
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             _fail("/N/%d" % i, "expected a positive integer")
-    if not isinstance(doc["R"], int) or doc["R"] < 2:
+    if not _is_int(doc["R"]) or doc["R"] < 2:
         _fail("/R", "expected an integer >= 2")
-    if not isinstance(doc["seed"], int):
+    if not _is_int(doc["seed"]):
         _fail("/seed", "expected an integer")
     slack = doc.get("slack", 8.0)
-    if not isinstance(slack, (int, float)) or slack < 0:
+    if not _is_number(slack) or slack < 0:
         _fail("/slack", "expected a number >= 0")
     return ExperimentConfig(
         ensembles, doc["family"], pairs, n_list, doc["R"], doc["seed"],

@@ -241,31 +241,6 @@ def gdc(graph):
     return vertices, pairs, comps
 
 
-def bar(pairs):
-    """Forget multiplicity: the set of unordered vertex pairs."""
-    return {frozenset((u, v)) for u, v in pairs}
-
-
-def prune(vertices, simple_edges):
-    """Iteratively delete degree-one vertices of a simple undirected graph."""
-    verts = set(vertices)
-    edges = set(simple_edges)
-    while True:
-        deg = {v: 0 for v in verts}
-        for e in edges:
-            if len(e) == 1:
-                (v,) = e
-                deg[v] += 2
-            else:
-                for v in e:
-                    deg[v] += 1
-        drop = {v for v in verts if deg[v] == 1}
-        if not drop:
-            return verts, edges
-        verts -= drop
-        edges = {e for e in edges if not (e & drop)}
-
-
 @dataclass(frozen=True)
 class ComponentReport:
     vertices: frozenset  # quotient vertices of the component

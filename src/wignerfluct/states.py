@@ -301,17 +301,32 @@ def _dense(n, data):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+class MatrixSpecError(ValueError):
+    """A matrix spec its builder rejects; ``index`` is its place in the list."""
+
+    def __init__(self, index, reason):
+        super().__init__("matrix %d: %s" % (index, reason))
+        self.index = index
+        self.reason = reason
+
+
 def family_from_json(doc):
     """Build a DetFamily from its JSON description.
 
     Schema: {"dim": N, "matrices": [{"kind": ..., ...}, ...],
-    "norm_bound": optional float}.
+    "norm_bound": optional float}.  A matrix spec of an unknown kind, with a
+    missing key or with a value of the wrong type raises MatrixSpecError.
     """
     n = doc["dim"]
     mats = []
-    for spec in doc["matrices"]:
-        kind = spec.get("kind")
-        if kind not in _BUILDERS:
-            raise ValueError("unknown matrix kind %r" % (kind,))
-        mats.append(_BUILDERS[kind](n, spec))
+    for i, spec in enumerate(doc["matrices"]):
+        try:
+            kind = spec["kind"]
+            if kind not in _BUILDERS:
+                raise ValueError("unknown matrix kind %r" % (kind,))
+            mats.append(_BUILDERS[kind](n, spec))
+        except KeyError as exc:
+            raise MatrixSpecError(i, "missing key %s" % exc) from None
+        except (TypeError, ValueError) as exc:
+            raise MatrixSpecError(i, str(exc)) from None
     return DetFamily(mats, norm_bound=doc.get("norm_bound"))

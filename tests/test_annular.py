@@ -34,12 +34,6 @@ def test_gamma_cycles():
         gamma(0, 2)
 
 
-def test_cycle_permutation_roundtrip():
-    p = CyclePermutation.from_cycles(5, [(1, 3), (2,), (4, 5)])
-    assert p(1) == 3 and p(3) == 1 and p(2) == 2
-    assert p.cycles == [(1, 3), (2,), (4, 5)]
-
-
 def test_pairing_rejects_no_through_string():
     match = [0, 2, 1, 4, 3]
     with pytest.raises(ValueError):
@@ -62,6 +56,8 @@ def test_enumeration_counts_small():
     assert len(enumerate_nc2(4, 2)) == 8
     # (3,3): 3 rotations with three through strings plus 3*3 with one
     assert len(enumerate_nc2(3, 3)) == 12
+    assert len(enumerate_nc2(4, 4)) == 36
+    assert len(enumerate_nc2(6, 6)) == 600
     assert enumerate_nc2(2, 1) == []
 
 
@@ -103,12 +99,62 @@ def test_through_cycles_split():
     assert len(splits) == 2
 
 
+def through_cycles_by_rotation(kperm, m, n):
+    """Reference split: try every rotation of each cycle meeting both circles."""
+    out = []
+    for cyc in kperm.cycles:
+        if all(i <= m for i in cyc) or all(i > m for i in cyc):
+            continue
+        for r in range(len(cyc)):
+            rot = cyc[r:] + cyc[:r]
+            flags = [i <= m for i in rot]
+            if flags[0] and not flags[-1]:
+                split = flags.index(False)
+                if all(flags[:split]) and not any(flags[split:]):
+                    out.append((rot[:split], rot[split:]))
+                    break
+        else:
+            raise AssertionError("through cycle is not two arcs: %r" % (cyc,))
+    return out
+
+
+def test_through_cycles_match_rotation_search():
+    for total in range(2, 13, 2):
+        for m in range(1, total):
+            n = total - m
+            for p in enumerate_nc2(m, n):
+                k = kreweras(p)
+                assert through_cycles(k, m, n) == through_cycles_by_rotation(k, m, n)
+
+
+def test_through_cycles_rejects_four_arcs():
+    # the cycle (1 4 2 5) alternates between the circles of a (3, 3)-annulus
+    k = CyclePermutation(6, (0, 4, 5, 3, 2, 1, 6))
+    with pytest.raises(ValueError):
+        through_cycles(k, 3, 3)
+
+
 def test_non_mixing():
     p = make_pairing(2, 2, [(1, 3), (2, 4)])
     assert is_non_mixing(p, ["a", "b", "a", "b"])
     assert not is_non_mixing(p, ["a", "b", "b", "a"])
     assert not is_non_mixing(p, ["a", "b", "a", "b"], strict_through_same=True)
     assert is_non_mixing(p, ["a", "a", "a", "a"], strict_through_same=True)
+
+
+def crosses(match, k):
+    """Pairwise test: two chords {a, b}, {c, d} of a k-gon cross iff a < c < b < d."""
+    pairs = [(i, match[i]) for i in range(1, k + 1) if i < match[i]]
+    return any(
+        a < c < b < d or c < a < d < b
+        for (a, b), (c, d) in itertools.combinations(pairs, 2)
+    )
+
+
+def test_disc_enumeration_matches_crossing_test():
+    for k in range(0, 13, 2):
+        expected = [match for match in _involutions(k) if not crosses(match, k)]
+        assert enumerate_nc2_disc(k) == expected
 
 
 def test_disc_enumeration_catalan():

@@ -56,6 +56,56 @@ def test_parse_config_errors_name_the_field(tmp_path):
     with pytest.raises(ConfigError, match="extra"):
         parse_config(write_config(tmp_path, doc))
 
+    # booleans are JSON's own type, not integers or numbers; other values
+    # of the wrong type fail with the path of the field
+    for key, value, path in [
+        ("N", [True], "/N/0"),
+        ("R", True, "/R"),
+        ("seed", True, "/seed"),
+        ("slack", False, "/slack"),
+        ("family", {"matrices": 5}, "/family/matrices"),
+        ("family", {"matrices": [{"kind": "identity"}], "norm_bound": "2"},
+         "/family/norm_bound"),
+    ]:
+        doc = base_config()
+        doc[key] = value
+        with pytest.raises(ConfigError, match=path):
+            parse_config(write_config(tmp_path, doc))
+
+    # a matrix spec its builder rejects fails when the family is built
+    for i, spec in enumerate(BAD_MATRICES):
+        doc = base_config()
+        doc["family"] = {"matrices": [{"kind": "identity"}] * i + [spec]}
+        cfg = parse_config(write_config(tmp_path, doc))
+        with pytest.raises(ConfigError, match="/family/matrices/%d" % i):
+            cfg.family(12)
+
+
+BAD_MATRICES = [
+    {"kind": "circulant", "first_row": 5},
+    {"kind": "projection", "rank_fraction": "half"},
+    {"kind": "diagonal_pattern"},
+    {"kind": "nope"},
+]
+
+
+def test_malformed_values_exit_with_config_error(tmp_path, capsys):
+    docs = []
+    for key, value in [("N", [True]), ("seed", True)]:
+        doc = base_config()
+        doc[key] = value
+        docs.append(doc)
+    for spec in BAD_MATRICES[:2]:
+        doc = base_config()
+        doc["family"] = {"matrices": [spec]}
+        docs.append(doc)
+    for doc in docs:
+        cfg = write_config(tmp_path, doc)
+        for command in ("theory", "compare"):
+            assert main([command, "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: /") and "Traceback" not in err
+
 
 def test_config_hash_key_order_invariant():
     a = {"x": 1, "y": {"a": 2, "b": 3}}

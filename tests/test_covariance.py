@@ -255,3 +255,28 @@ def test_phi2_symmetric_and_cyclic(n, seed, p, q, par1, par2, k):
 def test_phi2_odd_total_degree_is_zero(n, seed, p, q, par):
     assume((p.degree + q.degree) % 2 == 1)
     assert phi2(p, q, {"1": par, "2": par}, random_state(n, seed)) == 0
+
+
+COEFFS = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+POLYNOMIALS = st.lists(
+    st.tuples(
+        COEFFS,
+        st.lists(
+            st.tuples(st.sampled_from(["1", "2"]), LETTERS), min_size=1, max_size=3
+        ).map(lambda pairs: Monomial(tuple(pairs))),
+    ),
+    min_size=1,
+    max_size=3,
+).map(Polynomial.from_terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**31), POLYNOMIALS, POLYNOMIALS,
+       PARAMS, PARAMS)
+def test_conjugate_cov_is_hermitian(n, seed, P, Q, par1, par2):
+    # E[z(p) conj(z(q))] = conj(E[z(q) conj(z(p))]), computed through Q.star()
+    state = random_state(n, seed)
+    params = {"1": par1, "2": par2}
+    value = conjugate_cov(P, Q, params, state)
+    swapped = conjugate_cov(Q, P, params, state)
+    assert abs(value - swapped.conjugate()) <= 1e-10 * (1 + abs(value))

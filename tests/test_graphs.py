@@ -9,7 +9,6 @@ from wignerfluct.graphs import (
     Edge,
     LabeledGraph,
     a_components,
-    bar,
     bridges,
     build_cycle_graph,
     classify,
@@ -21,7 +20,6 @@ from wignerfluct.graphs import (
     leaf_count,
     leaves_count,
     omega_X,
-    prune,
     quotient,
     set_partitions,
     tecc_forest,
@@ -96,21 +94,16 @@ def test_leaf_count_star():
     assert leaf_count(verts, pairs) == 3
 
 
-def test_prune_tree_collapses():
-    verts, edges = prune([0, 1, 2, 3], {frozenset((0, 1)), frozenset((1, 2)), frozenset((2, 3))})
-    assert len(verts) <= 1
-    v2, e2 = prune([0, 1, 2], {frozenset((0, 1)), frozenset((1, 2)), frozenset((0, 2))})
-    assert v2 == {0, 1, 2} and len(e2) == 3
-
-
-def test_bar_and_gdc():
+def test_gdc_links_each_vertex_to_its_component():
     g = build_cycle_graph([parse_word("x1 a0 x1 a0")])
     # identify the two X-edges pairwise: (1,1)~(2,0) and (1,0)~(2,1)
     part = (((0, 1, 1), (0, 2, 0)), ((0, 1, 0), (0, 2, 1)))
     q = quotient(g, part)
     verts, pairs, comps = gdc(q)
-    assert len(bar(pairs)) <= len(pairs)
     assert len(a_components(q)) == len(comps)
+    links = [(u, c) for u, c in pairs if c in verts[len(q.vertices):]]
+    assert sorted(u for u, _ in links) == sorted(q.vertices)
+    assert all(u in comps[c[1]] for u, c in links)
 
 
 def test_classify_double_tree():
