@@ -48,6 +48,7 @@ from .graphs import (
     LabeledGraph,
     build_cycle_graph,
     classify,
+    even_partitions,
     exact_moment,
     exact_tau2,
     injective_trace,

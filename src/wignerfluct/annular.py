@@ -54,6 +54,29 @@ def _kreweras_map(match, sizes):
     return (0,) + tuple(match[g[i]] for i in range(1, len(g)))
 
 
+def _genus_zero(match, sizes):
+    """Genus count of the pairing sigma = ``match`` against gamma.
+
+    For sigma and gamma acting transitively on the points,
+    #(sigma) + #(sigma gamma) + #(gamma) = size + 2 - 2g.  With
+    #(sigma) = size / 2 and one gamma cycle per circle, g = 0 reads
+    2 #(sigma gamma) = size + 4 - 2 #circles.  The cycles of sigma * gamma
+    are counted in place, without building the map.
+    """
+    g = _gamma_map(sizes)
+    size = len(g) - 1
+    seen = bytearray(size + 1)
+    count = 0
+    for i in range(1, size + 1):
+        if not seen[i]:
+            count += 1
+            j = i
+            while not seen[j]:
+                seen[j] = 1
+                j = match[g[j]]
+    return 2 * count == size + 4 - 2 * len(sizes)
+
+
 def _cycles(mapping):
     seen = [False] * len(mapping)
     out = []
@@ -135,11 +158,10 @@ def is_annular_noncrossing(match, m, n):
     transitive.  The disc is the same count with one circle of k points:
     2 #(sigma gamma) = k + 2.
     """
-    size = m + n
-    _check_involution(match, size)
+    _check_involution(match, m + n)
     if not _through_pairs(match, m, n):
         raise ValueError("candidate has no through string")
-    return 2 * len(_cycles(_kreweras_map(match, (m, n)))) == size
+    return _genus_zero(match, (m, n))
 
 
 def is_annular_noncrossing_recursive(match, m, n):
@@ -217,7 +239,9 @@ def _enumerate_nc2_cached(m, n):
         return ()
     out = []
     for match in _involutions(size):
-        if _through_pairs(match, m, n) and is_annular_noncrossing(match, m, n):
+        # involutions by construction; a through string makes the action
+        # transitive, which the genus count needs
+        if max(match[1 : m + 1]) > m and _genus_zero(match, (m, n)):
             out.append(AnnularPairing(m, n, match))
     out.sort(key=lambda p: p.match)
     return tuple(out)
@@ -295,10 +319,7 @@ def _enumerate_nc2_disc_cached(k):
     if k == 0:
         return (tuple([0]),)
     # the genus count of is_annular_noncrossing with one circle
-    return tuple(
-        match for match in _involutions(k)
-        if 2 * len(_cycles(_kreweras_map(match, (k,)))) == k + 2
-    )
+    return tuple(match for match in _involutions(k) if _genus_zero(match, (k,)))
 
 
 def enumerate_nc2_disc(k, limit=DEFAULT_SIZE_LIMIT):

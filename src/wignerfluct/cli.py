@@ -41,10 +41,10 @@ from .graphs import (
     EXACT_N_CAP,
     build_cycle_graph,
     classify,
+    even_partitions,
     exact_tau2,
     omega_X,
     quotient,
-    set_partitions,
 )
 from .montecarlo import empirical_cov, empirical_cumulants, run_traces
 from .states import FiniteNState, MatrixSpecError, family_from_json
@@ -343,7 +343,8 @@ def _oracle_rows(cfg, n, dump_path=None):
         rows.append({"p": str(p), "q": str(q), "value": _c2j(value)})
         if dump_path:
             joint = build_cycle_graph([p, q])
-            for pid, part in enumerate(set_partitions(joint.vertices)):
+            # a nonzero omega_X(order=2) needs every joint X-edge group even
+            for pid, part in even_partitions(joint):
                 g = quotient(joint, part)
                 w2 = omega_X(g, cfg.laws, order=2)
                 if w2 == 0:

@@ -5,7 +5,10 @@ alternating X-edges and A-edges.  Summing the expectation of the entry
 product over all identification patterns (set partitions of the vertices)
 gives the exact finite-N moment; the partition weight factorizes into a
 Wigner part (mixed entry moments, grouped by identified vertex pairs) and
-a deterministic part (injective graph trace).  The topological helpers
+a deterministic part (injective graph trace).  The entry laws are
+symmetric, so the oracle visits only the partitions whose X-edge groups
+all have even size (``even_partitions``); the caps on the vertex count and
+on N are those of a full walk.  The topological helpers
 (bridges, two-edge-connected forests, graphs of deterministic components)
 classify which partitions survive as N grows.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +91,98 @@ def set_partitions(items):
         blocks.pop()
 
     yield from rec(1, [[items[0]]])
+
+
+@lru_cache(maxsize=None)
+def _completions(n):
+    """T[r][k]: set partitions of r more items added to k existing blocks.
+
+    T[0][k] = 1 and T[r][k] = k T[r-1][k] + T[r-1][k+1] (join one of the k
+    blocks or open a new one); T[n][0] is the Bell number of n.  Entries
+    with r + k <= n, all that a walk over n items reads, are exact.
+    """
+    table = [[1] * (n + 2)]
+    for _ in range(n):
+        prev = table[-1]
+        table.append([k * prev[k] + prev[k + 1] for k in range(n + 1)] + [0])
+    return table
+
+
+def even_partitions(graph):
+    """Vertex partitions whose X-edge groups all have even size, with their rank.
+
+    Yields ``(rank, partition)`` where ``partition`` is the entry at index
+    ``rank`` of ``set_partitions(graph.vertices)``.  Every entry skipped has
+    an X-edge group (the X-edges on one unordered pair of blocks with one
+    Wigner id) of odd size.  The walk follows the restricted growth strings
+    of ``set_partitions`` and resolves an X-edge when its later endpoint is
+    placed.  A branch is cut as soon as, for some Wigner id, the odd groups
+    outnumber the unresolved edges, since each remaining edge lands in one
+    group.  The completions of a cut branch still count towards ``rank``.
+    """
+    verts = graph.vertices
+    n = len(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    ids = {}
+    unresolved = []  # per Wigner id
+    resolved_at = [[] for _ in range(n)]  # (earlier endpoint, id) per position
+    for e in graph.edges:
+        if e.kind != "x":
+            continue
+        w = ids.setdefault(e.label, len(ids))
+        if w == len(unresolved):
+            unresolved.append(0)
+        unresolved[w] += 1
+        lo, hi = sorted((pos[e.src], pos[e.trg]))
+        resolved_at[hi].append((lo, w))
+    if any(c % 2 for c in unresolved):
+        return
+    completions = _completions(n)
+    odd = [0] * len(unresolved)
+    odd_groups = set()  # (block, block, id) of the groups of odd size so far
+    block_of = [0] * n
+    blocks = []
+    rank = 0
+
+    def toggle(i, step):
+        # moves the edges resolved at i into (step -1) or out of (+1) their
+        # groups; flipping a group's parity twice restores it
+        b = block_of[i]
+        for lo, w in resolved_at[i]:
+            c = block_of[lo]
+            key = (c, b, w) if c <= b else (b, c, w)
+            if key in odd_groups:
+                odd_groups.remove(key)
+                odd[w] -= 1
+            else:
+                odd_groups.add(key)
+                odd[w] += 1
+            unresolved[w] += step
+
+    def rec(i):
+        nonlocal rank
+        if i == n:
+            yield rank, tuple(tuple(blk) for blk in blocks)
+            rank += 1
+            return
+        v = verts[i]
+        for b in range(len(blocks) + 1):
+            if b == len(blocks):
+                blocks.append([v])
+            else:
+                blocks[b].append(v)
+            block_of[i] = b
+            toggle(i, -1)
+            if any(o > u for o, u in zip(odd, unresolved)):
+                rank += completions[n - 1 - i][len(blocks)]
+            else:
+                yield from rec(i + 1)
+            toggle(i, 1)
+            blocks[b].pop()
+            if not blocks[b]:
+                blocks.pop()
+
+    yield from rec(0)
 
 
 def quotient(graph, partition):
@@ -481,10 +577,14 @@ EXACT_N_CAP = 16
 
 
 def exact_moment(graph, family, laws, vertex_cap=PARTITION_VERTEX_CAP):
-    """Exact E[prod_j Tr M_j] by summing over all vertex partitions.
+    """Exact E[prod_j Tr M_j] by summing over vertex partitions.
 
     The family's dimension N is the matrix size; the Wigner entry laws are
-    given per Wigner id.  Cost grows like Bell(|V|), capped by vertex_cap.
+    given per Wigner id.  Every law here is symmetric: entry_moment(law,
+    p, q) = 0 for odd p + q and diagonal_moment(law, k) = 0 for odd k.  So
+    a partition with an X-edge group of odd size contributes 0, and only
+    the partitions of ``even_partitions`` are visited.  The walk still
+    grows like Bell(|V|) in the worst case, capped by vertex_cap.
     """
     nverts = len(graph.vertices)
     if nverts > vertex_cap:
@@ -495,12 +595,11 @@ def exact_moment(graph, family, laws, vertex_cap=PARTITION_VERTEX_CAP):
         raise ValueError("exact oracle capped at N = %d" % EXACT_N_CAP)
     m_x = sum(1 for e in graph.edges if e.kind == "x")
     vals = []
-    for part in set_partitions(graph.vertices):
+    for _, part in even_partitions(graph):
         q = quotient(graph, part)
         r = _r_expect([e for e in q.edges if e.kind == "x"], laws)
         if r == 0:
             continue
-        # a nonzero entry-moment product forces every group size even
         tr0 = injective_trace(q, family)
         if tr0 == 0:
             continue

@@ -277,6 +277,7 @@ MC_ENSEMBLES = {
 }
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(MC_ENSEMBLES))
 def test_criterion_07_monte_carlo_vs_theory(name):
     law = MC_ENSEMBLES[name]
@@ -395,6 +396,7 @@ def test_criterion_10_topological_property_suite():
     print("PASS criterion 10: topological classification over all 4140 partitions")
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name", ["gue", "rademacher"])
 def test_criterion_11_gaussian_fluctuations(name):
     law = {"gue": gue_law(), "rademacher": rademacher_law()}[name]

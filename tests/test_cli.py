@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -172,6 +173,33 @@ def test_oracle_command(tmp_path):
     row = doc["oracle"]["12"][0]
     assert "value" in row
     assert dump.read_text().startswith("p,q,partition")
+
+
+def test_oracle_dump_matches_full_walk(tmp_path):
+    from wignerfluct.graphs import build_cycle_graph, omega_X, quotient, set_partitions
+    from wignerfluct.words import parse_word
+
+    doc = base_config()
+    doc["ensembles"] = {"1": {"preset": "goe"}}
+    doc["pairs"] = [["x1 a0 x1 a0", "x1 a0 x1 a0"], ["x1 a0", "x1 a0 x1"]]
+    doc["N"] = 8
+    cfg = write_config(tmp_path, doc)
+    dump = tmp_path / "partitions.csv"
+    out = tmp_path / "oracle.json"
+    assert main(
+        ["oracle", "--config", cfg, "--out", str(out), "--dump-partitions", str(dump)]
+    ) == 0
+    rows = list(csv.reader(dump.read_text().splitlines()))[1:]
+    laws = parse_config(cfg).laws
+    want = []
+    for p, q in doc["pairs"]:
+        joint = build_cycle_graph([parse_word(p), parse_word(q)])
+        for pid, part in enumerate(set_partitions(joint.vertices)):
+            w2 = omega_X(quotient(joint, part), laws, order=2)
+            if w2 != 0:
+                want.append([p, q, str(pid), repr(float(w2))])
+    assert want
+    assert [[r[0], r[1], r[2], r[7]] for r in rows] == want
 
 
 def test_oracle_skips_over_caps(tmp_path):

@@ -86,6 +86,25 @@ if HAVE_HYP:
         assert params_of(law) == (theta, eta, k4)
 
 
+    PRESET_LAWS = st.sampled_from([gue_law(), goe_law(), rademacher_law()])
+
+    @st.composite
+    def admissible_laws(draw):
+        theta = draw(st.fractions(min_value=-1, max_value=1, max_denominator=12))
+        eta = draw(st.fractions(min_value=0, max_value=4, max_denominator=12))
+        excess = draw(st.fractions(min_value=0, max_value=3, max_denominator=12))
+        return solve_law(theta, eta, -1 - theta * theta + excess)
+
+    @given(law=st.one_of(PRESET_LAWS, admissible_laws()), p=st.integers(0, 7), q=st.integers(0, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_odd_order_moments_vanish(law, p, q):
+        # the precondition of the parity pruning in graphs.exact_moment
+        if (p + q) % 2:
+            assert entry_moment(law, p, q) == 0
+        if p % 2:
+            assert diagonal_moment(law, p) == 0
+
+
 def test_entry_moments_gue():
     law = gue_law()
     assert entry_moment(law, 1, 1) == 1

@@ -1,10 +1,13 @@
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wignerfluct.ensembles import goe_law, gue_law, rademacher_law, solve_law
+from wignerfluct import graphs
 from wignerfluct.graphs import (
     Edge,
     LabeledGraph,
@@ -12,6 +15,7 @@ from wignerfluct.graphs import (
     bridges,
     build_cycle_graph,
     classify,
+    even_partitions,
     exact_moment,
     exact_tau2,
     gdc,
@@ -246,3 +250,103 @@ def test_exact_moment_caps():
     g6 = build_cycle_graph([parse_word("x1 " * 6)])
     with pytest.raises(ValueError):
         exact_moment(g6, DetFamily([np.eye(3)]), {"1": gue_law()}, vertex_cap=10)
+
+
+def _all_groups_even(graph, part):
+    block = {v: b for b, blk in enumerate(part) for v in blk}
+    sizes = Counter(
+        (frozenset((block[e.src], block[e.trg])), e.label)
+        for e in graph.edges
+        if e.kind == "x"
+    )
+    return all(c % 2 == 0 for c in sizes.values())
+
+
+def _labelled_words(degrees, ids):
+    """Every assignment of Wigner ids to the letters of words of these degrees."""
+    total = sum(degrees)
+    for labels in itertools.product(ids, repeat=total):
+        it = iter(labels)
+        yield [parse_word(" ".join("x%s" % next(it) for _ in range(d))) for d in degrees]
+
+
+CYCLE_SHAPES = [(1,), (2,), (1, 1), (3,), (1, 2), (4,), (2, 2), (1, 3), (3, 1), (2, 3)]
+
+
+@pytest.mark.parametrize("degrees", CYCLE_SHAPES, ids=str)
+def test_even_partitions_match_filtered_full_walk(degrees):
+    ids = ("1",) if sum(degrees) == 5 else ("1", "2")
+    for words in _labelled_words(degrees, ids):
+        g = build_cycle_graph(words)
+        want = [
+            (i, part)
+            for i, part in enumerate(set_partitions(g.vertices))
+            if _all_groups_even(g, part)
+        ]
+        assert list(even_partitions(g)) == want, [str(w) for w in words]
+
+
+def test_even_partitions_of_no_vertices():
+    assert list(even_partitions(LabeledGraph((), (), 0))) == [(0, ())]
+
+
+def _exact_moment_full_walk(graph, family, laws):
+    """exact_moment as it was before the parity pruning: every partition."""
+    m_x = sum(1 for e in graph.edges if e.kind == "x")
+    vals = []
+    for part in set_partitions(graph.vertices):
+        q = quotient(graph, part)
+        r = graphs._r_expect([e for e in q.edges if e.kind == "x"], laws)
+        if r == 0:
+            continue
+        tr0 = injective_trace(q, family)
+        if tr0 == 0:
+            continue
+        vals.append(float(r) * tr0 / family.N ** (m_x // 2))
+    return complex(
+        math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals)
+    )
+
+
+ORACLE_LAWS = {
+    "gue": gue_law(),
+    "goe": goe_law(),
+    "rademacher": rademacher_law(),
+    "designed": solve_law(Fraction(1, 2), Fraction(1), Fraction(1)),
+    "skew": solve_law(Fraction(-1, 3), Fraction(0), Fraction(5, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LAWS))
+def test_exact_moment_equals_full_walk(name):
+    law = ORACLE_LAWS[name]
+    n = 5
+    # a banded circulant: with a pure shift most of these moments are 0
+    fam = DetFamily([diagonal_pattern(n, [1, -0.5, 2]), circulant(n, [0.5, 1, 0, 0.25])])
+    laws = {"1": law, "2": law}
+    for words in (
+        ["x1 a0 x1 a1", "x1 a0 x1 a1"],
+        ["x1 a0 x2 a1", "x2 a1 x1 a0"],
+        ["x1 a0", "x1 a1 x1 a0 x1"],
+        ["x1 a1 x1 a0 x1 a1 x1 a0"],
+    ):
+        g = build_cycle_graph([parse_word(w) for w in words])
+        assert exact_moment(g, fam, laws) == _exact_moment_full_walk(g, fam, laws), words
+
+
+def test_exact_moment_does_not_walk_all_vertex_partitions(monkeypatch):
+    seen = []
+    full = graphs.set_partitions
+
+    def recording(items):
+        items = list(items)
+        seen.append(items)
+        return full(items)
+
+    monkeypatch.setattr(graphs, "set_partitions", recording)
+    g = build_cycle_graph([parse_word("x1 a0 x1 a1"), parse_word("x1 a0 x1 a1")])
+    fam = DetFamily([diagonal_pattern(4, [1, -1]), circulant(4, [0, 1])])
+    assert exact_moment(g, fam, {"1": goe_law()}) != 0
+    # the injective traces still partition the support of each quotient
+    assert seen
+    assert list(g.vertices) not in seen
