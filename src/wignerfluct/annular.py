@@ -247,16 +247,18 @@ def _enumerate_nc2_cached(m, n):
     return tuple(out)
 
 
-def enumerate_nc2(m, n, limit=DEFAULT_SIZE_LIMIT):
+def enumerate_nc2(m, n):
     """All annular non-crossing pairings of the (m, n)-annulus.
 
     Empty when m+n is odd.  Brute force over involutions; capped at
-    ``limit`` total points.
+    DEFAULT_SIZE_LIMIT total points.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    if m + n > limit:
-        raise ValueError("m+n=%d exceeds enumeration cap %d" % (m + n, limit))
+    if m + n > DEFAULT_SIZE_LIMIT:
+        raise ValueError(
+            "m+n=%d exceeds enumeration cap %d" % (m + n, DEFAULT_SIZE_LIMIT)
+        )
     return list(_enumerate_nc2_cached(m, n))
 
 
@@ -322,12 +324,12 @@ def _enumerate_nc2_disc_cached(k):
     return tuple(match for match in _involutions(k) if _genus_zero(match, (k,)))
 
 
-def enumerate_nc2_disc(k, limit=DEFAULT_SIZE_LIMIT):
+def enumerate_nc2_disc(k):
     """Non-crossing pairings of a single k-cycle (Catalan(k/2) of them)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > limit:
-        raise ValueError("k=%d exceeds enumeration cap %d" % (k, limit))
+    if k > DEFAULT_SIZE_LIMIT:
+        raise ValueError("k=%d exceeds enumeration cap %d" % (k, DEFAULT_SIZE_LIMIT))
     return list(_enumerate_nc2_disc_cached(k))
 
 

@@ -28,6 +28,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -41,10 +42,8 @@ from .graphs import (
     EXACT_N_CAP,
     build_cycle_graph,
     classify,
-    even_partitions,
     exact_tau2,
-    omega_X,
-    quotient,
+    weighted_partitions,
 )
 from .montecarlo import empirical_cov, empirical_cumulants, run_traces
 from .states import FiniteNState, MatrixSpecError, family_from_json
@@ -77,10 +76,16 @@ def _is_int(value):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number; booleans are JSON's own type, not numbers."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond floats
+        return False
 
 
 def _frac(value, path):
+    if isinstance(value, bool):
+        _fail(path, "expected a number")
     try:
         if isinstance(value, float):
             return Fraction(str(value))
@@ -152,10 +157,14 @@ def _resolve_ensemble(wid, doc):
     return EnsembleSpec(params, law, doc)
 
 
+def _reject_constant(name):
+    raise ConfigError("config is not valid JSON: %s is not a finite number" % name)
+
+
 def parse_config(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc)
     except json.JSONDecodeError as exc:
@@ -195,13 +204,15 @@ def parse_config(path):
                     _fail("/pairs/%d" % i, "word uses undeclared ensemble %r" % wid)
         pairs.append((p, q))
     n_list = doc["N"] if isinstance(doc["N"], list) else [doc["N"]]
+    if not n_list:
+        _fail("/N", "expected a positive integer or a non-empty list of them")
     for i, n in enumerate(n_list):
         if not _is_int(n) or n < 1:
             _fail("/N/%d" % i, "expected a positive integer")
     if not _is_int(doc["R"]) or doc["R"] < 2:
         _fail("/R", "expected an integer >= 2")
-    if not _is_int(doc["seed"]):
-        _fail("/seed", "expected an integer")
+    if not _is_int(doc["seed"]) or doc["seed"] < 0:
+        _fail("/seed", "expected an integer >= 0")
     slack = doc.get("slack", 8.0)
     if not _is_number(slack) or slack < 0:
         _fail("/slack", "expected a number >= 0")
@@ -302,9 +313,17 @@ def _mc_block(cfg, family, seed):
     return {"N": n, "R": cfg.r, "covariances": pairs_out, "cumulants": cums}
 
 
+def _seed(args, cfg):
+    if args.seed is None:
+        return cfg.seed
+    if args.seed < 0:
+        _fail("/seed", "--seed expects an integer >= 0")
+    return args.seed
+
+
 def cmd_mc(args):
     cfg = parse_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _seed(args, cfg)
     record = _base_record(cfg)
     record["mc"] = [_mc_block(cfg, cfg.family(n), seed) for n in cfg.n_list]
     _emit(record, args.out)
@@ -327,28 +346,27 @@ def cmd_mc(args):
     return 0
 
 
-def _oracle_feasible(p, q, n):
-    return 2 * (p.degree + q.degree) <= PARTITION_VERTEX_CAP and n <= EXACT_N_CAP
+def _oracle_value(cfg, family, p, q):
+    """The exact covariance where the oracle's caps allow it, else None."""
+    if 2 * (p.degree + q.degree) > PARTITION_VERTEX_CAP or family.N > EXACT_N_CAP:
+        return None
+    return exact_tau2(p, q, family, cfg.laws)
 
 
-def _oracle_rows(cfg, n, dump_path=None):
+def _oracle_rows(cfg, n, dump_path):
     family = cfg.family(n)
     rows = []
     dump_rows = []
     for p, q in cfg.pairs:
-        if not _oracle_feasible(p, q, n):
+        value = _oracle_value(cfg, family, p, q)
+        if value is None:
             rows.append({"p": str(p), "q": str(q), "skipped": "caps exceeded"})
             continue
-        value = exact_tau2(p, q, family, cfg.laws)
         rows.append({"p": str(p), "q": str(q), "value": _c2j(value)})
-        if dump_path:
+        if dump_path and p.degree and q.degree:
+            # the dump rows are the terms of exact_tau2's walk
             joint = build_cycle_graph([p, q])
-            # a nonzero omega_X(order=2) needs every joint X-edge group even
-            for pid, part in even_partitions(joint):
-                g = quotient(joint, part)
-                w2 = omega_X(g, cfg.laws, order=2)
-                if w2 == 0:
-                    continue
+            for pid, g, w2 in weighted_partitions(joint, cfg.laws, 2):
                 rep = classify(g)
                 dump_rows.append(
                     [
@@ -381,7 +399,7 @@ def cmd_oracle(args):
 def cmd_compare(args, with_cumulants=False):
     """compare (and, with cumulants, report): theory against MC and the oracle."""
     cfg = parse_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _seed(args, cfg)
     started = time.time()
     record = _base_record(cfg)
     runs = []
@@ -407,8 +425,9 @@ def cmd_compare(args, with_cumulants=False):
                 "tolerance": tol,
                 "discrepancy": flag,
             }
-            if _oracle_feasible(p, q, n):
-                row["oracle"] = _c2j(exact_tau2(p, q, family, cfg.laws))
+            oracle = _oracle_value(cfg, family, p, q)
+            if oracle is not None:
+                row["oracle"] = _c2j(oracle)
             rows.append(row)
         block = {"N": n, "R": cfg.r, "pairs": rows}
         if with_cumulants:

@@ -5,12 +5,16 @@ alternating X-edges and A-edges.  Summing the expectation of the entry
 product over all identification patterns (set partitions of the vertices)
 gives the exact finite-N moment; the partition weight factorizes into a
 Wigner part (mixed entry moments, grouped by identified vertex pairs) and
-a deterministic part (injective graph trace).  The entry laws are
-symmetric, so the oracle visits only the partitions whose X-edge groups
-all have even size (``even_partitions``); the caps on the vertex count and
-on N are those of a full walk.  The topological helpers
-(bridges, two-edge-connected forests, graphs of deterministic components)
-classify which partitions survive as N grows.
+a deterministic part (injective graph trace).  The covariance is one walk
+over the joint graph of both words with the centered (order-2) weight,
+E[Tr P Tr Q] - E[Tr P] E[Tr Q] partition by partition; a degree-0 word
+gives 0.  ``weighted_partitions`` yields the walk's nonzero terms, which
+are also the rows of ``oracle --dump-partitions``.  The entry laws are
+symmetric, so only the partitions whose X-edge groups all have even size
+are visited (``even_partitions``); the caps on the vertex count and on N
+are those of a full walk.  The topological helpers (bridges,
+two-edge-connected forests, graphs of deterministic components) classify
+which partitions survive as N grows.
 """
 
 from __future__ import annotations
@@ -226,45 +230,18 @@ def _components(vertices, pairs):
 
 
 def bridges(vertices, pairs):
-    """Indices of cutting edges of the undirected multigraph (loops never cut)."""
-    adj = {v: [] for v in vertices}
-    for eid, (u, v) in enumerate(pairs):
+    """Indices of cutting edges of the undirected multigraph (loops never cut).
+
+    An edge cuts when its endpoints fall into different components without
+    it; a parallel twin keeps them joined.  The graphs here are small.
+    """
+    out = []
+    for i, (u, v) in enumerate(pairs):
         if u == v:
             continue
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    disc, low = {}, {}
-    out = []
-    counter = [0]
-    for root in vertices:
-        if root in disc:
-            continue
-        stack = [(root, None, iter(adj[root]))]
-        disc[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            v, in_eid, it = stack[-1]
-            advanced = False
-            for w, eid in it:
-                if eid == in_eid:
-                    # skip only the tree edge itself; a parallel twin has a
-                    # different id and correctly prevents bridge status
-                    continue
-                if w in disc:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    disc[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append((w, eid, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        out.append(in_eid)
+        rest = pairs[:i] + pairs[i + 1:]
+        if not any(u in c and v in c for c in _components(vertices, rest)):
+            out.append(i)
     return out
 
 
@@ -530,43 +507,21 @@ def _support_injective_trace(support, a_edges, family):
     )
 
 
-def _direct_injective_trace(support, a_edges, family):
-    import itertools
-
-    order = sorted(support, key=repr)
-    idx = {v: i for i, v in enumerate(order)}
-    mats = [(family.letter_matrix(e.label), idx[e.trg], idx[e.src]) for e in a_edges]
-    total = 0.0 + 0.0j
-    for psi in itertools.permutations(range(family.N), len(order)):
-        term = 1.0 + 0.0j
-        for m, t, s in mats:
-            term *= m[psi[t], psi[s]]
-            if term == 0:
-                break
-        total += term
-    return total
-
-
-def injective_trace(graph, family, method="mobius"):
+def injective_trace(graph, family):
     """Sum over injective vertex labelings of the A-edge entry product.
 
     Vertices untouched by A-edges contribute a falling-factorial count of
-    the remaining distinct labels.  Both evaluation paths (partition Moebius
-    inversion, direct enumeration) compute the same value.
+    the remaining distinct labels; the A-support is summed by Moebius
+    inversion over its partitions.
     """
     n = family.N
+    nverts = len(set(graph.vertices))
+    if nverts > n:
+        return 0.0 + 0.0j
     a_edges = [e for e in graph.edges if e.kind == "a"]
     support = {e.src for e in a_edges} | {e.trg for e in a_edges}
-    isolated = len(set(graph.vertices)) - len(support)
-    if len(set(graph.vertices)) > n:
-        return 0.0 + 0.0j
-    if method == "mobius":
-        base = _support_injective_trace(support, a_edges, family) if support else 1.0
-    elif method == "direct":
-        base = _direct_injective_trace(support, a_edges, family) if support else 1.0
-    else:
-        raise ValueError("unknown method %r" % (method,))
-    return base * math.perm(n - len(support), isolated)
+    base = _support_injective_trace(support, a_edges, family) if support else 1.0
+    return base * math.perm(n - len(support), nverts - len(support))
 
 
 # ---------------------------------------------------------------------------
@@ -576,46 +531,62 @@ PARTITION_VERTEX_CAP = 10
 EXACT_N_CAP = 16
 
 
-def exact_moment(graph, family, laws, vertex_cap=PARTITION_VERTEX_CAP):
-    """Exact E[prod_j Tr M_j] by summing over vertex partitions.
+def weighted_partitions(graph, laws, order):
+    """The nonzero terms of the partition sum: ``(rank, quotient, weight)``.
 
-    The family's dimension N is the matrix size; the Wigner entry laws are
-    given per Wigner id.  Every law here is symmetric: entry_moment(law,
-    p, q) = 0 for odd p + q and diagonal_moment(law, k) = 0 for odd k.  So
-    a partition with an X-edge group of odd size contributes 0, and only
-    the partitions of ``even_partitions`` are visited.  The walk still
-    grows like Bell(|V|) in the worst case, capped by vertex_cap.
+    ``weight`` is ``omega_X(quotient, laws, order)``.  Every law here is
+    symmetric: entry_moment(law, p, q) = 0 for odd p + q and
+    diagonal_moment(law, k) = 0 for odd k.  So a partition with an X-edge
+    group of odd size has weight 0 at order 1, and at order 2 as well: a
+    nonzero product of the per-cycle moments needs each cycle's groups
+    even, and their unions are then even too.  Only the partitions of
+    ``even_partitions`` are visited; the walk still grows like Bell(|V|)
+    in the worst case, capped by PARTITION_VERTEX_CAP.
     """
     nverts = len(graph.vertices)
-    if nverts > vertex_cap:
+    if nverts > PARTITION_VERTEX_CAP:
         raise ValueError(
-            "graph has %d vertices, above the partition cap %d" % (nverts, vertex_cap)
+            "graph has %d vertices, above the partition cap %d"
+            % (nverts, PARTITION_VERTEX_CAP)
         )
+    for rank, part in even_partitions(graph):
+        q = quotient(graph, part)
+        weight = omega_X(q, laws, order)
+        if weight != 0:
+            yield rank, q, weight
+
+
+def _partition_sum(graph, family, laws, order):
     if family.N > EXACT_N_CAP:
         raise ValueError("exact oracle capped at N = %d" % EXACT_N_CAP)
     m_x = sum(1 for e in graph.edges if e.kind == "x")
     vals = []
-    for _, part in even_partitions(graph):
-        q = quotient(graph, part)
-        r = _r_expect([e for e in q.edges if e.kind == "x"], laws)
-        if r == 0:
-            continue
+    for _, q, weight in weighted_partitions(graph, laws, order):
         tr0 = injective_trace(q, family)
         if tr0 == 0:
             continue
-        vals.append(float(r) * tr0 / family.N ** (m_x // 2))
+        vals.append(float(weight) * tr0 / family.N ** (m_x // 2))
     return complex(
         math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals)
     )
 
 
-def exact_tau2(p, q, family, laws, vertex_cap=PARTITION_VERTEX_CAP):
-    """Exact covariance E[Tr P Tr Q] - E[Tr P] E[Tr Q] at finite N."""
-    joint = build_cycle_graph([p, q])
-    single_p = build_cycle_graph([p])
-    single_q = build_cycle_graph([q])
-    return (
-        exact_moment(joint, family, laws, vertex_cap)
-        - exact_moment(single_p, family, laws, vertex_cap)
-        * exact_moment(single_q, family, laws, vertex_cap)
-    )
+def exact_moment(graph, family, laws):
+    """Exact E[prod_j Tr M_j] by summing over vertex partitions.
+
+    The family's dimension N is the matrix size; the Wigner entry laws are
+    given per Wigner id.  Each partition contributes its order-1 weight
+    times the injective trace of its quotient.
+    """
+    return _partition_sum(graph, family, laws, 1)
+
+
+def exact_tau2(p, q, family, laws):
+    """Exact covariance E[Tr P Tr Q] - E[Tr P] E[Tr Q] at finite N.
+
+    One walk over the joint graph's partitions with the centered (order-2)
+    weight.  A degree-0 word is a constant trace and gives 0.
+    """
+    if p.degree == 0 or q.degree == 0:
+        return 0j
+    return _partition_sum(build_cycle_graph([p, q]), family, laws, 2)

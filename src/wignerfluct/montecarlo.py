@@ -104,17 +104,17 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
     return TraceSamples(monomials, data, n, r, master_seed, tuple(wids))
 
 
-def _batch_se(values, batches=DEFAULT_BATCHES):
+def _batch_se(values):
     """Standard error of the mean of a complex series via batch means."""
     r = len(values)
-    b = min(batches, r)
+    b = min(DEFAULT_BATCHES, r)
     size = r // b
     means = np.array([values[i * size:(i + 1) * size].mean() for i in range(b)])
     center = means.mean()
     return float(np.sqrt(np.sum(np.abs(means - center) ** 2) / (b * (b - 1))))
 
 
-def empirical_cov(samples, p, q, batches=DEFAULT_BATCHES):
+def empirical_cov(samples, p, q):
     """Covariance of centered traces, no conjugation, with its standard error."""
     zp = samples.traces(p)
     zq = samples.traces(q)
@@ -125,7 +125,7 @@ def empirical_cov(samples, p, q, batches=DEFAULT_BATCHES):
     cq = zq - zq.mean()
     prod = cp * cq
     est = complex(prod.sum() / (r - 1))
-    return est, _batch_se(prod, batches)
+    return est, _batch_se(prod)
 
 
 def _k_stats(x):
@@ -144,7 +144,7 @@ def _k_stats(x):
     return k2, k3, k4
 
 
-def empirical_cumulants(samples, p, batches=DEFAULT_BATCHES):
+def empirical_cumulants(samples, p):
     """k-statistics of orders 2..4 of the real trace values, with batch SEs.
 
     Returns a list of (order, value, std_error).
@@ -154,14 +154,14 @@ def empirical_cumulants(samples, p, batches=DEFAULT_BATCHES):
     if r < 100:
         raise ValueError("cumulants of order >= 3 need at least 100 replicates")
     full = _k_stats(z)
-    b = min(batches, r // 8)
+    b = min(DEFAULT_BATCHES, r // 8)
     size = r // b
     per_batch = np.array([_k_stats(z[i * size:(i + 1) * size]) for i in range(b)])
     ses = np.sqrt(np.var(per_batch, axis=0, ddof=1) / b)
     return [(k + 2, full[k], float(ses[k])) for k in range(3)]
 
 
-def mixed_third_cumulant(samples, p, q, batches=DEFAULT_BATCHES):
+def mixed_third_cumulant(samples, p, q):
     """k-statistic estimate of cum(Z(p), Z(p), Z(q)) with a batch-means SE."""
     zp = np.real(samples.traces(p))
     zq = np.real(samples.traces(q))
@@ -174,7 +174,7 @@ def mixed_third_cumulant(samples, p, q, batches=DEFAULT_BATCHES):
         return n * n * float(np.mean(ca * ca * cb)) / ((n - 1) * (n - 2))
 
     full = stat(zp, zq)
-    nb = min(batches, r // 8)
+    nb = min(DEFAULT_BATCHES, r // 8)
     size = r // nb
     per_batch = np.array(
         [stat(zp[i * size:(i + 1) * size], zq[i * size:(i + 1) * size]) for i in range(nb)]

@@ -315,7 +315,8 @@ def family_from_json(doc):
 
     Schema: {"dim": N, "matrices": [{"kind": ..., ...}, ...],
     "norm_bound": optional float}.  A matrix spec of an unknown kind, with a
-    missing key or with a value of the wrong type raises MatrixSpecError.
+    missing key, with a value of the wrong type or with a non-finite entry
+    raises MatrixSpecError.
     """
     n = doc["dim"]
     mats = []
@@ -324,7 +325,10 @@ def family_from_json(doc):
             kind = spec["kind"]
             if kind not in _BUILDERS:
                 raise ValueError("unknown matrix kind %r" % (kind,))
-            mats.append(_BUILDERS[kind](n, spec))
+            mat = _BUILDERS[kind](n, spec)
+            if not np.all(np.isfinite(mat)):
+                raise ValueError("matrix has a non-finite entry")
+            mats.append(mat)
         except KeyError as exc:
             raise MatrixSpecError(i, "missing key %s" % exc) from None
         except (TypeError, ValueError) as exc:

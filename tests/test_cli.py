@@ -7,8 +7,9 @@ from wignerfluct.cli import ConfigError, config_hash, main, parse_config
 
 
 def write_config(tmp_path, doc, name="config.json"):
+    """Write doc as JSON; the string "1e400" is written as that bare number."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
     return str(path)
 
 
@@ -64,6 +65,11 @@ def test_parse_config_errors_name_the_field(tmp_path):
         ("R", True, "/R"),
         ("seed", True, "/seed"),
         ("slack", False, "/slack"),
+        ("seed", -1, "/seed"),
+        ("N", [], "/N"),
+        ("ensembles", {"1": {"theta": True, "eta": 1, "k4": 1}}, "/ensembles/1/theta"),
+        ("ensembles", {"1": {"theta": 0, "eta": False, "k4": 1}}, "/ensembles/1/eta"),
+        ("ensembles", {"1": {"theta": 0, "eta": 1, "k4": True}}, "/ensembles/1/k4"),
         ("family", {"matrices": 5}, "/family/matrices"),
         ("family", {"matrices": [{"kind": "identity"}], "norm_bound": "2"},
          "/family/norm_bound"),
@@ -90,22 +96,62 @@ BAD_MATRICES = [
 ]
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def test_malformed_values_exit_with_config_error(tmp_path, capsys):
-    docs = []
-    for key, value in [("N", [True]), ("seed", True)]:
+    # (key, value, start of the error line); NaN and Infinity are not JSON
+    # numbers, and a literal too large for a float reads as infinite
+    cases = [("N", [True], "/"), ("seed", True, "/")]
+    cases += [("family", {"matrices": [spec]}, "/") for spec in BAD_MATRICES[:2]]
+    for value in (NAN, INF, -INF):
+        cases.append(("slack", value, "config is not valid JSON"))
+    cases += [
+        ("family", {"matrices": [{"kind": "diagonal_pattern", "values": [1, NAN]}]},
+         "config is not valid JSON"),
+        ("family", {"matrices": [{"kind": "identity"}], "norm_bound": NAN},
+         "config is not valid JSON"),
+        ("ensembles", {"1": {"theta": 0, "eta": INF, "k4": 1}}, "config is not valid JSON"),
+        ("slack", "1e400", "/slack"),
+        ("family", {"matrices": [{"kind": "identity"}], "norm_bound": "1e400"},
+         "/family/norm_bound"),
+        ("family", {"matrices": [{"kind": "diagonal_pattern", "values": [1, "1e400"]}]},
+         "/family/matrices/0"),
+        ("ensembles", {"1": {"theta": "1e400", "eta": 1, "k4": 1}}, "/ensembles/1/theta"),
+    ]
+    for key, value, start in cases:
         doc = base_config()
         doc[key] = value
-        docs.append(doc)
-    for spec in BAD_MATRICES[:2]:
-        doc = base_config()
-        doc["family"] = {"matrices": [spec]}
-        docs.append(doc)
-    for doc in docs:
         cfg = write_config(tmp_path, doc)
         for command in ("theory", "compare"):
-            assert main([command, "--config", cfg]) == 2
+            assert main([command, "--config", cfg]) == 2, (key, value)
             err = capsys.readouterr().err
-            assert err.startswith("config error: /") and "Traceback" not in err
+            assert err.startswith("config error: " + start), err
+            assert "Traceback" not in err
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config())
+    for command in ("mc", "compare"):
+        assert main([command, "--config", cfg, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: /seed")
+
+
+def test_constant_trace_has_zero_oracle_and_covariance(tmp_path):
+    doc = base_config()
+    doc["pairs"] = [["a0", "x1 x1"], ["x1 a0", "1"]]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "oracle.json"
+    dump = tmp_path / "partitions.csv"
+    assert main(
+        ["oracle", "--config", cfg, "--out", str(out), "--dump-partitions", str(dump)]
+    ) == 0
+    rows = json.loads(out.read_text())["oracle"]["12"]
+    assert [row["value"] for row in rows] == [{"re": 0.0, "im": 0.0}] * 2
+    assert dump.read_text().splitlines()[1:] == []
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert [row["oracle"]["re"] for row in rec["runs"][0]["pairs"]] == [0.0, 0.0]
 
 
 def test_config_hash_key_order_invariant():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wignerfluct.ensembles import goe_law, gue_law, rademacher_law, solve_law
 from wignerfluct import graphs
@@ -28,7 +30,13 @@ from wignerfluct.graphs import (
     set_partitions,
     tecc_forest,
 )
-from wignerfluct.states import DetFamily, FiniteNState, circulant, diagonal_pattern
+from wignerfluct.states import (
+    DetFamily,
+    FiniteNState,
+    circulant,
+    diagonal_pattern,
+    random_fixed,
+)
 from wignerfluct.words import parse_word
 
 
@@ -171,6 +179,26 @@ def test_injective_trace_loop_and_edge():
     assert injective_trace(edge, fam) == pytest.approx(want)
 
 
+def _direct_injective_trace(graph, family):
+    """injective_trace by enumerating the injective labelings themselves."""
+    order = sorted(graph.vertices, key=repr)
+    idx = {v: i for i, v in enumerate(order)}
+    mats = [
+        (family.letter_matrix(e.label), idx[e.trg], idx[e.src])
+        for e in graph.edges
+        if e.kind == "a"
+    ]
+    total = 0.0 + 0.0j
+    for psi in itertools.permutations(range(family.N), len(order)):
+        term = 1.0 + 0.0j
+        for m, t, s in mats:
+            term *= m[psi[t], psi[s]]
+            if term == 0:
+                break
+        total += term
+    return total
+
+
 def test_injective_trace_methods_agree():
     fam = small_family()
     letter = parse_word("x1 a0").det_letters[0]
@@ -179,9 +207,11 @@ def test_injective_trace_methods_agree():
         (Edge(0, 1, "a", letter, 0), Edge(1, 2, "a", letter, 0), Edge(2, 0, "a", letter, 0)),
         1,
     )
-    assert injective_trace(g, fam, "mobius") == pytest.approx(
-        injective_trace(g, fam, "direct")
-    )
+    assert injective_trace(g, fam) == pytest.approx(_direct_injective_trace(g, fam))
+    # an isolated vertex beside the A-support
+    g4 = LabeledGraph((0, 1, 2, 3), g.edges, 1)
+    four = DetFamily([np.arange(16.0).reshape(4, 4)])
+    assert injective_trace(g4, four) == pytest.approx(_direct_injective_trace(g4, four))
 
 
 def test_injective_trace_isolated_vertices():
@@ -249,7 +279,7 @@ def test_exact_moment_caps():
         exact_moment(g, fam, {"1": gue_law()})
     g6 = build_cycle_graph([parse_word("x1 " * 6)])
     with pytest.raises(ValueError):
-        exact_moment(g6, DetFamily([np.eye(3)]), {"1": gue_law()}, vertex_cap=10)
+        exact_moment(g6, DetFamily([np.eye(3)]), {"1": gue_law()})
 
 
 def _all_groups_even(graph, part):
@@ -350,3 +380,78 @@ def test_exact_moment_does_not_walk_all_vertex_partitions(monkeypatch):
     # the injective traces still partition the support of each quotient
     assert seen
     assert list(g.vertices) not in seen
+
+
+def test_exact_tau2_of_a_constant_trace_is_zero():
+    fam = DetFamily([diagonal_pattern(4, [1, -1])])
+    laws = {"1": goe_law()}
+    xx = parse_word("x1 a0 x1")
+    assert exact_tau2(parse_word("a0"), xx, fam, laws) == 0j
+    assert exact_tau2(xx, parse_word("1"), fam, laws) == 0j
+
+
+def test_exact_tau2_walks_the_partitions_once(monkeypatch):
+    calls = []
+    walk = graphs.even_partitions
+
+    def recording(graph):
+        calls.append(len(graph.vertices))
+        return walk(graph)
+
+    monkeypatch.setattr(graphs, "even_partitions", recording)
+    fam = DetFamily([diagonal_pattern(4, [1, -1]), circulant(4, [0.5, 1])])
+    p = parse_word("x1 a0 x1 a1")
+    assert exact_tau2(p, p, fam, {"1": goe_law()}) != 0
+    assert calls == [8]
+
+
+@st.composite
+def _words(draw, ids):
+    """One word of degree >= 1: Wigner letters, each followed by 0-2 A-letters."""
+    degree = draw(st.integers(1, 3))
+    tokens = []
+    for _ in range(degree):
+        tokens.append("x" + draw(st.sampled_from(ids)))
+        tokens += draw(st.lists(st.sampled_from(["a0", "a1", "a2", "a2*", "a1t"]), max_size=2))
+    return parse_word(" ".join(tokens))
+
+
+@st.composite
+def _tau2_cases(draw):
+    ids = draw(st.sampled_from([("1",), ("1", "2")]))
+    p = draw(_words(ids))
+    q = draw(_words(ids))
+    assume(p.degree + q.degree <= 4)
+    laws = {
+        wid: draw(st.one_of(st.sampled_from(sorted(ORACLE_LAWS)), st.none()))
+        for wid in ids
+    }
+    for wid, name in laws.items():
+        if name is None:
+            theta = draw(st.fractions(-1, 1, max_denominator=6))
+            eta = draw(st.fractions(0, 3, max_denominator=6))
+            excess = draw(st.fractions(0, 2, max_denominator=6))
+            laws[wid] = solve_law(theta, eta, -1 - theta * theta + excess)
+        else:
+            laws[wid] = ORACLE_LAWS[name]
+    n = draw(st.integers(2, 6))
+    fam = DetFamily(
+        [
+            diagonal_pattern(n, [1, -0.5, 2]),
+            circulant(n, [0.5, 1, 0, 0.25][:n]),
+            random_fixed(n, draw(st.integers(0, 9))),
+        ]
+    )
+    return p, q, fam, laws
+
+
+@given(case=_tau2_cases())
+@settings(max_examples=40, deadline=None)
+def test_exact_tau2_equals_moment_difference(case):
+    # the centered walk against E[Tr P Tr Q] - E[Tr P] E[Tr Q], three walks
+    p, q, fam, laws = case
+    ref = exact_moment(build_cycle_graph([p, q]), fam, laws) - exact_moment(
+        build_cycle_graph([p]), fam, laws
+    ) * exact_moment(build_cycle_graph([q]), fam, laws)
+    got = exact_tau2(p, q, fam, laws)
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (str(p), str(q))
