@@ -5,14 +5,28 @@ circle.  A pairing is stored as a fixed-point-free involution ``match`` with
 ``match[i] = j`` iff {i, j} is a pair (index 0 of the array is unused).
 Every permutation is such a point-map tuple; ``CyclePermutation`` only wraps
 one for the public return values of ``gamma`` and the Kreweras maps.
+
+The pairings are built, not searched for (Mingo-Nica, IMRN 2004).  One
+with l >= 1 through strings puts l spoke endpoints on each circle, leaves
+an even gap between consecutive endpoints, pairs each gap non-crossingly
+as a line, and joins the spokes in one of l rotations with the circles in
+opposite orientations.  Each pairing carries its Kreweras cycles, through
+splits and through count as tuples, computed once per process.  The
+brute-force sweep over involutions with the genus count is kept only as a
+test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 
-DEFAULT_SIZE_LIMIT = 16
+DEFAULT_SIZE_LIMIT = 18
+
+# One shared copy of each Kreweras cycle: pairings of one annulus repeat
+# most of their cycles, and each pairing keeps its cycles for the process.
+_CYCLES = {}
 
 
 @dataclass(frozen=True)
@@ -50,8 +64,7 @@ def _gamma_map(sizes):
 
 def _kreweras_map(match, sizes):
     """sigma * gamma, i.e. i -> match[gamma(i)], as a 1-based point map."""
-    g = _gamma_map(sizes)
-    return (0,) + tuple(match[g[i]] for i in range(1, len(g)))
+    return (0,) + tuple([match[j] for j in _gamma_map(sizes)[1:]])
 
 
 def _genus_zero(match, sizes):
@@ -78,17 +91,18 @@ def _genus_zero(match, sizes):
 
 
 def _cycles(mapping):
-    seen = [False] * len(mapping)
+    """Cycles of a point map, each from its minimum, sorted by minimum."""
+    left = list(mapping)  # a visited point is zeroed
     out = []
-    for i in range(1, len(mapping)):
-        if seen[i]:
+    for i in range(1, len(left)):
+        j = left[i]
+        if not j:
             continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
+        cyc = [i]
+        left[i] = 0
+        while j != i:
             cyc.append(j)
-            j = mapping[j]
+            left[j], j = 0, left[j]
         out.append(tuple(cyc))
     return out
 
@@ -136,9 +150,20 @@ class AnnularPairing:
         """All pairs {i, j} with i on the outer and j on the inner circle."""
         return _through_pairs(self.match, self.m, self.n)
 
-    @property
+    @cached_property
     def through_count(self):
         return len(self.through_strings())
+
+    @cached_property
+    def kreweras_cycles(self):
+        """The cycles of ``kreweras(self)``, as a tuple."""
+        cycles = _cycles(_kreweras_map(self.match, (self.m, self.n)))
+        return tuple([_CYCLES.setdefault(c, c) for c in cycles])
+
+    @cached_property
+    def through_splits(self):
+        """``through_cycles(kreweras(self), m, n)``, as a tuple."""
+        return tuple(_through_splits(self.kreweras_cycles, self.m))
 
     def as_permutation(self):
         return CyclePermutation(self.size, self.match)
@@ -233,25 +258,94 @@ def _involutions(size):
 
 
 @lru_cache(maxsize=None)
+def _line_pairings(k):
+    """Non-crossing pairings of the points 0..k-1 of a line, as pair tuples.
+
+    Point 0 pairs with some j; the points inside (1..j-1) and after
+    (j+1..k-1) that pair are paired on their own.  Catalan(k/2) pairings,
+    in lexicographic order of their match tuples.
+    """
+    if k % 2:
+        return ()
+    if k == 0:
+        return ((),)
+    out = []
+    for j in range(1, k, 2):
+        for inside in _line_pairings(j - 1):
+            shifted = ((0, j),) + tuple((a + 1, b + 1) for a, b in inside)
+            for after in _line_pairings(k - j - 1):
+                out.append(shifted + tuple((a + j + 1, b + j + 1) for a, b in after))
+    return tuple(out)
+
+
+def _circle_fillings(points, l):
+    """Spoke endpoints and gap pairings of one circle with l spokes.
+
+    ``points`` are the circle's positions in cyclic order.  Yields
+    (endpoints, partial): the l endpoints in increasing order, with an even
+    gap between each two cyclically consecutive ones, and ``partial`` a
+    point map {position: partner} pairing each gap non-crossingly as a line.
+    """
+    c = len(points)
+    for ends in combinations(range(c), l):
+        gaps = [range(ends[i] + 1, ends[i + 1]) for i in range(l - 1)]
+        gaps.append(range(ends[-1] + 1, ends[0] + c))
+        if any(len(g) % 2 for g in gaps):
+            continue
+        endpoints = tuple(points[e] for e in ends)
+        for choice in product(*(_line_pairings(len(g)) for g in gaps)):
+            partial = {}
+            for gap, pairs in zip(gaps, choice):
+                for a, b in pairs:
+                    u, v = points[gap[a] % c], points[gap[b] % c]
+                    partial[u], partial[v] = v, u
+            yield endpoints, partial
+
+
+@lru_cache(maxsize=None)
 def _enumerate_nc2_cached(m, n):
     size = m + n
     if size % 2:
         return ()
-    out = []
-    for match in _involutions(size):
-        # involutions by construction; a through string makes the action
-        # transitive, which the genus count needs
-        if max(match[1 : m + 1]) > m and _genus_zero(match, (m, n)):
-            out.append(AnnularPairing(m, n, match))
-    out.sort(key=lambda p: p.match)
-    return tuple(out)
+    outer = range(1, m + 1)
+    inner = range(m + 1, size + 1)
+    matches = []
+    # m - l and n - l are even; m + n is even, so m % 2 fixes the parity
+    for l in range(2 - m % 2, min(m, n) + 1, 2):
+        inner_fillings = list(_circle_fillings(inner, l))
+        for out_ends, out_partial in _circle_fillings(outer, l):
+            for in_ends, in_partial in inner_fillings:
+                base = [0] * (size + 1)
+                for u, v in out_partial.items():
+                    base[u] = v
+                for u, v in in_partial.items():
+                    base[u] = v
+                for r in range(l):
+                    match = list(base)
+                    for j, a in enumerate(out_ends):
+                        b = in_ends[(r - j) % l]
+                        match[a], match[b] = b, a
+                    matches.append(tuple(match))
+    matches.sort()
+    return tuple(_built_pairing(m, n, match) for match in matches)
+
+
+def _built_pairing(m, n, match):
+    """An AnnularPairing the generator built, without the genus check.
+
+    The tests compare every generated list with the brute-force filter.
+    """
+    pairing = object.__new__(AnnularPairing)
+    pairing.__dict__.update(m=m, n=n, match=match)
+    return pairing
 
 
 def enumerate_nc2(m, n):
-    """All annular non-crossing pairings of the (m, n)-annulus.
+    """All annular non-crossing pairings of the (m, n)-annulus, sorted by match.
 
-    Empty when m+n is odd.  Brute force over involutions; capped at
-    DEFAULT_SIZE_LIMIT total points.
+    Empty when m+n is odd.  Built spoke by spoke and gap by gap, so the
+    cost grows with the number of pairings; capped at DEFAULT_SIZE_LIMIT
+    total points.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
@@ -280,18 +374,23 @@ def through_cycles(kperm, m, n):
     pairing consists of a contiguous run of outer positions followed by a
     contiguous run of inner positions (up to rotation of the cycle).
     """
-    out = []
-    for cyc in kperm.cycles:
-        # an outer run starts where an outer position follows an inner one
-        starts = [r for r in range(len(cyc)) if cyc[r] <= m < cyc[r - 1]]
-        if not starts:
+    return list(_through_splits(kperm.cycles, m))
+
+
+def _through_splits(cycles, m):
+    # each cycle starts at its minimum and the cycles are sorted by it
+    for cyc in cycles:
+        if cyc[0] > m:
+            break  # the rest lie on the inner circle
+        if max(cyc) <= m:
             continue
-        if len(starts) > 1:
+        # outer, then inner from k, then outer again from e
+        inner = [i > m for i in cyc] + [False]
+        k = inner.index(True)
+        e = inner.index(False, k)
+        if True in inner[e:]:
             raise ValueError("through cycle is not split into two arcs: %r" % (cyc,))
-        rot = cyc[starts[0]:] + cyc[:starts[0]]
-        split = sum(i <= m for i in cyc)
-        out.append((rot[:split], rot[split:]))
-    return out
+        yield cyc[e:] + cyc[:k], cyc[k:e]
 
 
 def is_non_mixing(pairing, labels, strict_through_same=False):
@@ -318,10 +417,13 @@ def is_non_mixing(pairing, labels, strict_through_same=False):
 def _enumerate_nc2_disc_cached(k):
     if k % 2:
         return ()
-    if k == 0:
-        return (tuple([0]),)
-    # the genus count of is_annular_noncrossing with one circle
-    return tuple(match for match in _involutions(k) if _genus_zero(match, (k,)))
+    out = []
+    for pairs in _line_pairings(k):
+        match = [0] * (k + 1)
+        for a, b in pairs:
+            match[a + 1], match[b + 1] = b + 1, a + 1
+        out.append(tuple(match))
+    return tuple(out)
 
 
 def enumerate_nc2_disc(k):
@@ -336,3 +438,9 @@ def enumerate_nc2_disc(k):
 def disc_kreweras(match, k):
     """Kreweras complement on the disc: i -> sigma(i+1) with gamma = (1..k)."""
     return CyclePermutation(k, _kreweras_map(match, (k,)))
+
+
+@lru_cache(maxsize=None)
+def disc_kreweras_cycles(match):
+    """The cycles of ``disc_kreweras(match, k)`` as a tuple, once per pairing."""
+    return tuple(_cycles(_kreweras_map(match, (len(match) - 1,))))

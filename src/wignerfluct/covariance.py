@@ -21,7 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .annular import enumerate_nc2, enumerate_nc2_disc, disc_kreweras, is_non_mixing
+from .annular import (
+    disc_kreweras_cycles,
+    enumerate_nc2,
+    enumerate_nc2_disc,
+    is_non_mixing,
+)
 from .states import eval_phi_K, eval_phi_tilde_K
 from .words import Monomial, Polynomial, s_transform
 
@@ -76,9 +81,8 @@ def first_order(mono, params, state):
     for match in enumerate_nc2_disc(k):
         if any(labels[i - 1] != labels[match[i] - 1] for i in range(1, k + 1)):
             continue
-        kperm = disc_kreweras(match, k)
         term = 1.0 + 0.0j
-        for cyc in kperm.cycles:
+        for cyc in disc_kreweras_cycles(match):
             term *= state.phi([letters[i - 1] for i in cyc])
         vals.append(term)
     return _csum(vals)

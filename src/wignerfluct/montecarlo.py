@@ -16,6 +16,8 @@ import numpy as np
 from .ensembles import sample_wigner
 
 DEFAULT_BATCHES = 40
+# is_gaussian's threshold on |cumulant| / SE for the orders 3 and 4
+GAUSSIAN_SIGMAS = 5.0
 
 
 @dataclass
@@ -183,11 +185,11 @@ def mixed_third_cumulant(samples, p, q):
     return full, se
 
 
-def is_gaussian(samples, p, sigmas=5.0):
-    """True when the third and fourth cumulants are within sigmas * SE of 0."""
+def is_gaussian(samples, p):
+    """True when the third and fourth cumulants are within GAUSSIAN_SIGMAS SE of 0."""
     cums = empirical_cumulants(samples, p)
     ok = True
     for order, value, se in cums:
-        if order >= 3 and abs(value) > sigmas * se:
+        if order >= 3 and abs(value) > GAUSSIAN_SIGMAS * se:
             ok = False
     return ok, cums

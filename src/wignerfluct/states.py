@@ -14,18 +14,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .annular import kreweras, through_cycles
 from .words import DetLetter
 
 
-def operator_norm_estimate(mat, iters=60, seed=0):
+# power iterations and start-vector seed of operator_norm_estimate
+NORM_ITERS = 60
+NORM_SEED = 0
+
+
+def operator_norm_estimate(mat):
     """Power-iteration estimate of the operator norm of a square matrix."""
     n = mat.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(NORM_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     h = mat.conj().T @ mat
-    for _ in range(iters):
+    for _ in range(NORM_ITERS):
         w = h @ v
         nw = np.linalg.norm(w)
         if nw == 0:
@@ -200,9 +204,8 @@ def eval_phi_K(pairing, letters, state):
     """Product over cycles of K(sigma) of phi of the cycle's letter word."""
     if len(letters) != pairing.size:
         raise ValueError("need m+n letters")
-    k = kreweras(pairing)
     out = 1.0 + 0.0j
-    for cyc in k.cycles:
+    for cyc in pairing.kreweras_cycles:
         out *= state.phi([letters[i - 1] for i in cyc])
     return out
 
@@ -216,14 +219,14 @@ def eval_phi_tilde_K(pairing, letters, state):
         raise ValueError("phi_tilde requires 1 or 2 through strings")
     if len(letters) != pairing.size:
         raise ValueError("need m+n letters")
-    k = kreweras(pairing)
-    splits = through_cycles(k, pairing.m, pairing.n)
-    through_sets = [frozenset(outer + inner) for outer, inner in splits]
+    m = pairing.m
+    splits = iter(pairing.through_splits)
     out = 1.0 + 0.0j
-    for cyc in k.cycles:
-        cset = frozenset(cyc)
-        if cset in through_sets:
-            outer, inner = splits[through_sets.index(cset)]
+    for cyc in pairing.kreweras_cycles:
+        # a cycle starts at its minimum: it is a through cycle iff that
+        # minimum is outer and its maximum inner; splits come in cycle order
+        if cyc[0] <= m < max(cyc):
+            outer, inner = next(splits)
             out *= state.phi_hadamard(
                 [letters[i - 1] for i in outer], [letters[i - 1] for i in inner]
             )

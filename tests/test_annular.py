@@ -1,13 +1,17 @@
+import functools
 import itertools
 
 import pytest
 
 from wignerfluct.annular import (
+    DEFAULT_SIZE_LIMIT,
     AnnularPairing,
     CyclePermutation,
+    _genus_zero,
     _involutions,
     _through_pairs,
     disc_kreweras,
+    disc_kreweras_cycles,
     enumerate_nc2,
     enumerate_nc2_disc,
     filter_by_through,
@@ -18,6 +22,12 @@ from wignerfluct.annular import (
     kreweras,
     through_cycles,
 )
+
+
+@functools.lru_cache(maxsize=None)
+def involution_list(size):
+    """The brute-force candidates, generated once per size for all tests."""
+    return list(_involutions(size))
 
 
 def make_pairing(m, n, pairs):
@@ -61,6 +71,46 @@ def test_enumeration_counts_small():
     assert enumerate_nc2(2, 1) == []
 
 
+def test_enumeration_counts_large():
+    assert len(enumerate_nc2(7, 7)) == 2800
+    assert len(enumerate_nc2(8, 6)) == 2400
+    assert len(enumerate_nc2(8, 8)) == 9800
+    assert len(enumerate_nc2(9, 7)) == 11025
+    assert len(enumerate_nc2(9, 9)) == 44100
+
+
+def test_enumeration_cap():
+    assert DEFAULT_SIZE_LIMIT == 18
+    with pytest.raises(ValueError, match="m\\+n=20 exceeds enumeration cap 18"):
+        enumerate_nc2(10, 10)
+    with pytest.raises(ValueError, match="k=20 exceeds enumeration cap 18"):
+        enumerate_nc2_disc(20)
+
+
+def test_enumeration_matches_brute_force_filter():
+    # the genus-count filter over all involutions, order included
+    for size in range(2, 15):
+        candidates = involution_list(size) if size % 2 == 0 else []
+        for m in range(1, size):
+            n = size - m
+            expected = [
+                match for match in candidates
+                if max(match[1 : m + 1]) > m and _genus_zero(match, (m, n))
+            ]
+            assert [p.match for p in enumerate_nc2(m, n)] == expected, (m, n)
+
+
+def test_generated_pairings_pass_both_predicates():
+    # beyond the brute-force range: every generated pairing is annular
+    # non-crossing, under the genus count and under the peeling predicate
+    for m, n in [(8, 8), (9, 7), (15, 1), (9, 9)]:
+        pairings = enumerate_nc2(m, n)
+        assert len({p.match for p in pairings}) == len(pairings)
+        for p in pairings[:: max(1, len(pairings) // 500)]:
+            assert is_annular_noncrossing(p.match, m, n)
+            assert is_annular_noncrossing_recursive(p.match, m, n)
+
+
 def test_predicates_agree_exhaustively_small():
     for m, n in [(1, 1), (2, 2), (3, 1), (1, 3), (4, 2), (3, 3)]:
         for match in _involutions(m + n):
@@ -88,6 +138,21 @@ def test_kreweras_figure_fixture():
     p = make_pairing(8, 4, [(1, 2), (3, 10), (4, 5), (6, 9), (7, 8), (11, 12)])
     k = kreweras(p)
     assert k.cycles == [(1,), (2, 10, 12, 6, 8), (3, 5, 9), (4,), (7,), (11,)]
+    assert p.kreweras_cycles == tuple(k.cycles)
+    assert p.through_splits == (((6, 8, 2), (10, 12)), ((3, 5), (9,)))
+    assert p.through_count == 2
+
+
+def test_pairing_tables_match_kreweras():
+    for total in range(2, 13, 2):
+        for m in range(1, total):
+            n = total - m
+            for p in enumerate_nc2(m, n):
+                k = kreweras(p)
+                assert p.kreweras_cycles == tuple(k.cycles)
+                assert p.through_splits == tuple(through_cycles(k, m, n))
+                # one through cycle of K(sigma) per through string of sigma
+                assert p.through_count == len(p.through_splits)
 
 
 def test_through_cycles_split():
@@ -152,8 +217,8 @@ def crosses(match, k):
 
 
 def test_disc_enumeration_matches_crossing_test():
-    for k in range(0, 13, 2):
-        expected = [match for match in _involutions(k) if not crosses(match, k)]
+    for k in range(0, 15, 2):
+        expected = [match for match in involution_list(k) if not crosses(match, k)]
         assert enumerate_nc2_disc(k) == expected
 
 
@@ -162,6 +227,7 @@ def test_disc_enumeration_catalan():
     assert len(enumerate_nc2_disc(4)) == 2
     assert len(enumerate_nc2_disc(6)) == 5
     assert len(enumerate_nc2_disc(8)) == 14
+    assert len(enumerate_nc2_disc(18)) == 4862
     assert enumerate_nc2_disc(3) == []
 
 
@@ -170,3 +236,9 @@ def test_disc_kreweras_nested_pair():
     match = (0, 4, 3, 2, 1)
     k = disc_kreweras(match, 4)
     assert k.cycles == [(1, 3), (2,), (4,)]
+
+
+def test_disc_kreweras_cycles_match_disc_kreweras():
+    for k in range(0, 11, 2):
+        for match in enumerate_nc2_disc(k):
+            assert disc_kreweras_cycles(match) == tuple(disc_kreweras(match, k).cycles)

@@ -173,6 +173,30 @@ def test_pairings_command(tmp_path, capsys):
     assert code == 0
 
 
+def test_pairings_and_theory_reach_the_enumeration_cap(tmp_path, capsys):
+    # 18 points: the 44100 pairings of the (9, 9)-annulus, 9 of them spokes only
+    out = tmp_path / "pairings.json"
+    assert main(["pairings", "--m", "9", "--n", "9", "--through", "9", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["count"] == 9 and all(row["through"] == 9 for row in doc["pairings"])
+    doc = base_config()
+    doc["ensembles"]["2"] = {"preset": "gue"}
+    doc["family"]["matrices"][0]["values"] = [1, 2]
+    doc["pairs"] = [["x1 a0 x2 x1 x2 x1 x2 x1 x2 x1", "x1 x2 x1 x2 x1 x2 x1 x2 x1"]]
+    doc["N"] = 4
+    cfg = write_config(tmp_path, doc)
+    assert main(["theory", "--config", cfg, "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["theory"]["4"][0]
+    assert row["total"]["re"] != 0
+    capsys.readouterr()
+    assert main(["pairings", "--m", "10", "--n", "10", "--out", str(out)]) == 2
+    assert "m+n=20 exceeds enumeration cap 18" in capsys.readouterr().err
+    doc["pairs"] = [["x1 x1 x1 x1 x1 x1 x1 x1 x1 x1", "x1 x1 x1 x1 x1 x1 x1 x1 x1 x1"]]
+    cfg = write_config(tmp_path, doc)
+    assert main(["theory", "--config", cfg, "--out", str(out)]) == 2
+    assert "m+n=20 exceeds enumeration cap 18" in capsys.readouterr().err
+
+
 def test_theory_command(tmp_path):
     cfg = write_config(tmp_path, base_config())
     out = tmp_path / "theory.json"

@@ -280,3 +280,35 @@ def test_conjugate_cov_is_hermitian(n, seed, P, Q, par1, par2):
     value = conjugate_cov(P, Q, params, state)
     swapped = conjugate_cov(Q, P, params, state)
     assert abs(value - swapped.conjugate()) <= 1e-10 * (1 + abs(value))
+
+
+def test_evaluation_reads_pairing_tables(monkeypatch):
+    # the Kreweras data comes from each pairing's table, not from the
+    # Kreweras maps, wherever a module binds them
+    from wignerfluct import annular, covariance, states
+
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod in (annular, covariance, states):
+        for name in ("kreweras", "through_cycles", "disc_kreweras"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, recording(name, getattr(mod, name)))
+    annular._enumerate_nc2_cached.cache_clear()
+    annular.disc_kreweras_cycles.cache_clear()
+    fam = DetFamily([diagonal_pattern(6, [1, -0.5, 2]), circulant(6, [0.5, 1])])
+    state = FiniteNState(fam)
+    params = {"1": WignerParams(0.5, 2.0, 1.0)}
+    p = parse_word("x1 a0 x1 a1 x1 a0 x1")
+    q = parse_word("x1 a1 x1 x1 a0 x1")
+    assert phi2_terms(p, q, params, state).s3 != 0
+    odd = parse_word("x1 a0 x1 a1 x1")
+    assert phi2_terms(odd, parse_word("x1 a1 x1 x1 a0 x1 x1"), params, state).s4 != 0
+    assert first_order(parse_word("x1 a0 x1 a1 x1 x1"), params, state) != 0
+    assert calls == []

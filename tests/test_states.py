@@ -92,8 +92,6 @@ def test_phi_hadamard_sees_diagonals_only():
 
 
 def test_eval_phi_K_factorizes():
-    # the (2,2) pairing (1,3)(2,4) has Kreweras cycles (1,4)(2,3) wait:
-    # check numerically against the explicit cycle product instead
     fam = small_family()
     state = FiniteNState(fam)
     p = make_pairing(2, 2, [(1, 3), (2, 4)])
@@ -101,6 +99,7 @@ def test_eval_phi_K_factorizes():
     from wignerfluct.annular import kreweras
 
     k = kreweras(p)
+    assert k.cycles == [(1, 4), (2, 3)]
     expected = 1.0 + 0.0j
     for cyc in k.cycles:
         expected *= state.phi([letters[i - 1] for i in cyc])
