@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ except ImportError:  # pragma: no cover
     HAVE_HYP = False
 
 from wignerfluct.ensembles import (
+    PRESETS,
     EntryLaw,
     SymmetricDiscreteLaw,
     diagonal_moment,
@@ -187,6 +189,25 @@ def test_sample_wigner_reproducible():
     a = sample_wigner(12, gue_law(), (1, 2, 3))
     b = sample_wigner(12, gue_law(), (1, 2, 3))
     np.testing.assert_array_equal(a, b)
+
+
+# sha256 of the draws below; a change to it means every Monte Carlo output
+# changed, so renew it only in a change that alters the draws on purpose
+DRAWS_SHA256 = "7fa09fce83a540ba0a1a2a091ff794508b4225317f949bbc2657a0a86af57ad9"
+
+
+def test_sample_wigner_golden_hash():
+    laws = [(name, PRESETS[name]()) for name in sorted(PRESETS)]
+    laws.append(("solved", solve_law(Fraction(1, 3), Fraction(1, 2), Fraction(1, 4))))
+    h = hashlib.sha256()
+    for name, law in laws:
+        for n in (3, 8):
+            for k in (0, 1):  # two ensemble ids
+                for rep in (0, 1):
+                    x = sample_wigner(n, law, (2024, k, rep))
+                    h.update(("%s %d %d %d %s;" % (name, n, k, rep, x.dtype.str)).encode())
+                    h.update(x.tobytes())
+    assert h.hexdigest() == DRAWS_SHA256
 
 
 def test_sample_wigner_second_moment():
