@@ -393,24 +393,14 @@ def _through_splits(cycles, m):
         yield cyc[e:] + cyc[:k], cyc[k:e]
 
 
-def is_non_mixing(pairing, labels, strict_through_same=False):
+def is_non_mixing(pairing, labels):
     """True iff each pair of sigma joins positions with the same label.
 
-    ``labels[i-1]`` is the Wigner id at position i.  With
-    ``strict_through_same`` every position on a through string must in
-    addition carry one common label.
+    ``labels[i-1]`` is the Wigner id at position i.
     """
     if len(labels) != pairing.size:
         raise ValueError("labels must have length m+n")
-    for i, j in pairing.pairs():
-        if labels[i - 1] != labels[j - 1]:
-            return False
-    if strict_through_same:
-        through = pairing.through_strings()
-        lab = {labels[i - 1] for pair in through for i in pair}
-        if len(lab) > 1:
-            return False
-    return True
+    return list(labels) == [labels[j - 1] for j in pairing.match[1:]]
 
 
 @lru_cache(maxsize=None)

@@ -189,6 +189,7 @@ def parse_config(path):
         _fail("/family/norm_bound", "expected a number")
     if not isinstance(doc["pairs"], list) or not doc["pairs"]:
         _fail("/pairs", "expected a non-empty list")
+    n_mats = len(doc["family"]["matrices"])
     pairs = []
     for i, pair in enumerate(doc["pairs"]):
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -202,6 +203,11 @@ def parse_config(path):
             for wid in mono.wigner_labels:
                 if wid not in ensembles:
                     _fail("/pairs/%d" % i, "word uses undeclared ensemble %r" % wid)
+            for letter in mono.det_letters + (mono.scalar_letter,):
+                for j, _, _ in letter.factors:
+                    if j >= n_mats:
+                        _fail("/pairs/%d" % i, "word uses a%d, but the family "
+                              "has no matrix with index %d" % (j, j))
         pairs.append((p, q))
     n_list = doc["N"] if isinstance(doc["N"], list) else [doc["N"]]
     if not n_list:

@@ -111,6 +111,12 @@ def _word_data(p, q):
     )
 
 
+def _through_label(sigma, labels):
+    """The one label on all of sigma's through strings, or None if several."""
+    found = {labels[i - 1] for i, _ in sigma.through_strings()}
+    return found.pop() if len(found) == 1 else None
+
+
 def phi2_terms(p, q, params, state):
     """The four covariance contributions for a pair of canonical monomials."""
     if not isinstance(p, Monomial) or not isinstance(q, Monomial):
@@ -130,18 +136,15 @@ def phi2_terms(p, q, params, state):
     for sigma in enumerate_nc2(m, n):
         if is_non_mixing(sigma, labels):
             s1.append(eval_phi_K(sigma, letters, state))
+            # S3 (k4) needs two through strings of one label, S4 one string
             l = sigma.through_count
-            if l == 2 and is_non_mixing(sigma, labels, strict_through_same=True):
-                wid = labels[sigma.through_strings()[0][0] - 1]
-                k4 = _get_params(params, wid).k4
-                if k4 != 0:
-                    s3.append(k4 * eval_phi_tilde_K(sigma, letters, state))
-            elif l == 1:
-                wid = labels[sigma.through_strings()[0][0] - 1]
+            wid = _through_label(sigma, labels) if l <= 2 else None
+            if wid is not None:
                 par = _get_params(params, wid)
-                w = par.eta - 1 - par.theta
-                if w != 0:
-                    s4.append(w * eval_phi_tilde_K(sigma, letters, state))
+                weight = par.k4 if l == 2 else par.eta - 1 - par.theta
+                if weight != 0:
+                    tilde = weight * eval_phi_tilde_K(sigma, letters, state)
+                    (s3 if l == 2 else s4).append(tilde)
         if is_non_mixing(sigma, labels_t):
             theta_sigma = 1.0 + 0.0j
             for i, _ in sigma.through_strings():
@@ -171,10 +174,8 @@ def phi2_two_term(p, q, params, state):
         if not is_non_mixing(sigma, labels):
             continue
         vals.append(eval_phi_K(sigma, letters, state))
-        if sigma.through_count == 2 and is_non_mixing(
-            sigma, labels, strict_through_same=True
-        ):
-            wid = labels[sigma.through_strings()[0][0] - 1]
+        wid = _through_label(sigma, labels) if sigma.through_count == 2 else None
+        if wid is not None:
             k4 = _get_params(params, wid).k4
             if k4 != 0:
                 vals.append(k4 * eval_phi_tilde_K(sigma, letters, state))

@@ -2,14 +2,16 @@
 
 Each replicate draws one matrix per Wigner id (shared across all monomials
 of the replicate, so joint covariances are meaningful) and records the
-traces.  Covariances are computed without conjugation on the second factor,
-matching the limiting bilinear form; standard errors use batch means.
+traces.  The factors X_w A of a word are ``DetFamily.times`` products,
+shared across the monomials of a replicate.  Covariances are computed
+without conjugation on the second factor, matching the limiting bilinear
+form; standard errors use batch means.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,36 +38,21 @@ class TraceSamples:
             raise KeyError("no trace samples recorded for %s" % (mono,))
 
 
-def _pair_factor(wid, letter, xmats, family, cache):
-    """The product X_wid * A_letter for one (Wigner, deterministic) pair."""
-    key = (wid, letter)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    x = xmats[wid]
-    if letter.is_identity:
-        out = x
-    else:
-        d = family.letter_diag(letter)
-        # diagonal letters scale columns, no matmul needed
-        out = x * d if d is not None else x @ family.letter_compact(letter)
-    cache[key] = out
-    return out
-
-
 def _trace_word(mono, xmats, family, cache):
-    """Trace of the alternating word, saving the last matrix product."""
-    pairs = mono.pairs
-    if len(pairs) == 1:
-        wid, letter = pairs[0]
-        x = xmats[wid]
-        if letter.is_identity:
-            return complex(np.trace(x))
-        return complex(np.sum(x * family.letter_compact(letter).T))
-    mats = [_pair_factor(wid, letter, xmats, family, cache) for wid, letter in pairs]
-    p = mats[0]
-    for m in mats[1:-1]:
-        p = p @ m
+    """Trace of the alternating word X_w1 A_1 ... X_wk A_k.
+
+    Each factor X_w A is ``family.times(X_w, A)``, cached per replicate on
+    (w, A); the last factor enters through an elementwise sum, not a product.
+    """
+    mats = []
+    for key in mono.pairs:
+        got = cache.get(key)
+        if got is None:
+            got = cache[key] = family.times(xmats[key[0]], key[1])
+        mats.append(got)
+    if len(mats) == 1:
+        return complex(mats[0].trace())
+    p = functools.reduce(np.matmul, mats[1:-1], mats[0])
     return complex(np.sum(p * mats[-1].T))
 
 

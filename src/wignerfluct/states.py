@@ -7,10 +7,13 @@ of its arguments' factor tuples, each taken up to a transpose of the whole
 word, and ``phi_transpose(p, q)`` is ``phi`` of p followed by the reversed
 transposes of q.  On a miss the value is computed on the state's N x N
 family; a state without a family (``SymbolicState``, built from tables of
-an abstract limit) raises ``KeyError`` instead.
+an abstract limit) raises ``KeyError`` instead.  Every word product, here
+and in Monte Carlo, is one ``DetFamily.times`` call per letter.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -61,24 +64,14 @@ class DetFamily:
                     )
         self.norm_bound = norm_bound
         self._letter_cache = {}
-        self._diag_cache = {}
-
-    def _product(self, mats):
-        # I @ A is exact for finite A, so starting from the first factor
-        # changes no value and leaves a single factor uncopied.
-        if not mats:
-            return np.eye(self.N, dtype=complex)
-        out = mats[0]
-        for m in mats[1:]:
-            out = out @ m
-        return out
+        self._operands = {}
 
     def letter_matrix(self, letter):
-        """Matrix of a (possibly fused) deterministic letter, cached."""
+        """Dense complex matrix of a (possibly fused) letter, cached."""
         cached = self._letter_cache.get(letter)
         if cached is not None:
             return cached
-        mats = []
+        out = None
         for j, star, transpose in letter.factors:
             if not 0 <= j < len(self.matrices):
                 raise IndexError("family has no matrix with index %d" % j)
@@ -87,35 +80,55 @@ class DetFamily:
                 m = m.conj().T
             if transpose:
                 m = m.T
-            mats.append(m)
-        out = self._product(mats)
+            # I @ A is exact, so the first factor is taken as it is
+            out = m if out is None else out @ m
+        if out is None:
+            out = np.eye(self.N, dtype=complex)
         self._letter_cache[letter] = out
         return out
 
-    def letter_diag(self, letter):
-        """Diagonal of a letter matrix if it is diagonal, else None."""
-        if letter not in self._diag_cache:
-            m = self.letter_compact(letter)
-            d = np.diagonal(m).copy()
-            self._diag_cache[letter] = d if np.array_equal(np.diag(d), m) else None
-        return self._diag_cache[letter]
+    def operand(self, letter):
+        """The letter as ``times`` applies it, built on first use and cached.
 
-    def letter_compact(self, letter):
-        """Letter matrix downcast to float when its imaginary part vanishes."""
-        key = (letter, "compact")
-        got = self._letter_cache.get(key)
+        A letter with at most one nonzero per column is (rows, weights):
+        column j is weights[j] * e_rows[j].  Any other letter is its dense
+        matrix.  Either is downcast to float when its imaginary part is 0.
+        """
+        got = self._operands.get(letter)
         if got is None:
             m = self.letter_matrix(letter)
-            got = m.real.copy() if not m.imag.any() else m
-            self._letter_cache[key] = got
+            if not m.imag.any():
+                m = m.real.copy()
+            nonzero = m != 0
+            if nonzero.sum(axis=0).max() <= 1:
+                rows = nonzero.argmax(axis=0)
+                got = (rows, m[rows, np.arange(self.N)])
+            else:
+                got = m
+            self._operands[letter] = got
         return got
+
+    def times(self, mat, letter):
+        """``mat @ A_letter``; the identity letter returns ``mat`` itself."""
+        if letter.is_identity:
+            return mat
+        op = self.operand(letter)
+        if not isinstance(op, tuple):
+            return mat @ op
+        rows, weights = op
+        out = mat.take(rows, axis=1)
+        if out.dtype.kind == "f" and weights.dtype.kind == "c":
+            return out * weights  # a real gather cannot hold complex weights
+        out *= weights  # in place: one N x N buffer, not two
+        return out
 
     def word_matrix(self, letters):
         """Product matrix of a word of deterministic letters (read-only).
 
         A one-letter word returns the cached letter matrix itself.
         """
-        return self._product([self.letter_matrix(letter) for letter in letters])
+        first = self.letter_matrix(letters[0] if letters else DetLetter())
+        return functools.reduce(self.times, letters[1:], first)
 
 
 def _cyclic_min(key):

@@ -203,8 +203,10 @@ def test_non_mixing():
     p = make_pairing(2, 2, [(1, 3), (2, 4)])
     assert is_non_mixing(p, ["a", "b", "a", "b"])
     assert not is_non_mixing(p, ["a", "b", "b", "a"])
-    assert not is_non_mixing(p, ["a", "b", "a", "b"], strict_through_same=True)
-    assert is_non_mixing(p, ["a", "a", "a", "a"], strict_through_same=True)
+    # the S3 channel also needs one label on all through strings
+    for labels, count in ((["a", "b", "a", "b"], 2), (["a", "a", "a", "a"], 1)):
+        assert is_non_mixing(p, labels)
+        assert len({labels[i - 1] for i, _ in p.through_strings()}) == count
 
 
 def crosses(match, k):

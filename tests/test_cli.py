@@ -322,6 +322,21 @@ def test_memory_guard_exits_with_input_error(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_out_of_range_matrix_index_is_a_config_error(tmp_path, capsys):
+    # the family has one matrix, a0; a word naming a3 (or a1 inside a
+    # degree-0 word) is rejected by parse_config, not by an IndexError
+    for pair in (["x1 a3", "x1 a3"], ["x1 a0", "a1 a0"]):
+        doc = base_config()
+        doc["pairs"] = [pair]
+        cfg = write_config(tmp_path, doc)
+        for command in ("theory", "mc", "oracle", "compare"):
+            assert main([command, "--config", cfg]) == 2, (pair, command)
+            err = capsys.readouterr().err
+            assert err.startswith("config error: /pairs/0: word uses a"), err
+            assert "the family has no matrix with index" in err
+            assert "Traceback" not in err
+
+
 def test_main_exit_code_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

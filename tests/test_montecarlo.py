@@ -42,19 +42,23 @@ def test_run_traces_reproducible():
 
 
 def test_run_traces_trace_values_match_direct_product():
-    # cross-check the cached fast path against a plain matrix product
+    # cross-check the cached fast path against a plain matrix product, for
+    # complex and real X and for a one-pair word
     from wignerfluct.ensembles import sample_wigner
 
     n = 7
     fam = family(n)
-    p = parse_word("x1 a0 x1 a1")
-    samples = run_traces([p], n, 3, {"1": gue_law()}, fam, 5)
-    for rep in range(3):
-        x = sample_wigner(n, gue_law(), (5, 0, rep))
-        a0 = fam.letter_matrix(p.det_letters[0])
-        a1 = fam.letter_matrix(p.det_letters[1])
-        want = np.trace(x @ a0 @ x @ a1)
-        assert samples.traces(p)[rep] == pytest.approx(want)
+    words = [parse_word("x1 a0 x1 a1"), parse_word("x1 a1")]
+    for law in (gue_law(), goe_law()):
+        samples = run_traces(words, n, 3, {"1": law}, fam, 5)
+        for rep in range(3):
+            x = sample_wigner(n, law, (5, 0, rep))
+            for p in words:
+                want = np.eye(n)
+                for letter in p.det_letters:
+                    want = want @ x @ fam.letter_matrix(letter)
+                got = samples.traces(p)[rep]
+                assert got == pytest.approx(np.trace(want), rel=1e-12, abs=1e-12)
 
 
 def test_degree_zero_monomial_constant():

@@ -58,11 +58,50 @@ def test_letter_matrix_flags():
     np.testing.assert_allclose(fam.letter_matrix(fused), base @ base.conj().T)
 
 
-def test_letter_diag_detects_diagonal():
-    fam = small_family()
-    assert fam.letter_diag(DetLetter.base(0)) is None
-    d = fam.letter_diag(DetLetter.base(1))
-    np.testing.assert_allclose(d, [1.0, -1.0, 2.0])
+def test_operand_classification():
+    n = 6
+    perm = np.array([2, 0, 1, 5, 3, 4])
+    weighted = np.zeros((n, n), dtype=complex)
+    weighted[perm, np.arange(n)] = np.exp(0.3j * np.arange(n)) * 0.5
+    fam = DetFamily([
+        diagonal_pattern(n, [1, -1, 0.5]),
+        projection(n, 0.5),
+        circulant(n, [0, 1]),
+        weighted,
+        circulant(n, [0.5, 0.5]),
+        random_fixed(n, 3),
+    ])
+    # letters whose columns hold at most one nonzero gather (rows, weights)
+    rows, w = fam.operand(DetLetter.base(0))
+    np.testing.assert_array_equal(rows, np.arange(n))
+    assert w.dtype == np.float64  # real downcast
+    np.testing.assert_array_equal(w, [1, -1, 0.5, 1, -1, 0.5])
+    rows, w = fam.operand(DetLetter.base(1))  # zero columns get weight 0
+    np.testing.assert_array_equal(w, [1, 1, 1, 0, 0, 0])
+    rows, w = fam.operand(DetLetter.base(2))  # shift: column j is e_{j-1}
+    np.testing.assert_array_equal(rows, (np.arange(n) - 1) % n)
+    rows, w = fam.operand(DetLetter.base(3, star=True))
+    np.testing.assert_array_equal(rows, np.argsort(perm))
+    assert w.dtype == np.complex128
+    fused = DetLetter(((0, False, False), (2, False, True)))
+    assert isinstance(fam.operand(fused), tuple)
+    # a full first row has one nonzero per column; its transpose does not
+    top = DetFamily([np.outer(np.eye(n)[0], np.ones(n))])
+    rows, w = top.operand(DetLetter.base(0))
+    np.testing.assert_array_equal(rows, np.zeros(n))
+    assert isinstance(top.operand(DetLetter.base(0, transpose=True)), np.ndarray)
+    # any other letter is a dense matrix, float when its imaginary part is 0
+    band = fam.operand(DetLetter.base(4))
+    assert isinstance(band, np.ndarray) and band.dtype == np.float64
+    dense = fam.operand(DetLetter.base(5))
+    assert isinstance(dense, np.ndarray) and dense.dtype == np.complex128
+    mat = np.arange(n * n, dtype=float).reshape(n, n)
+    assert fam.times(mat, IDENTITY_LETTER) is mat
+    for j in range(6):
+        letter = DetLetter.base(j, transpose=True)
+        np.testing.assert_allclose(
+            fam.times(mat, letter), mat @ fam.letter_matrix(letter), rtol=1e-14
+        )
 
 
 def test_phi_basics():
@@ -223,3 +262,63 @@ def test_memoized_functionals_match_direct_traces(n, seed, p, q):
         assert abs(state.phi_hadamard(transposed(q), p) - want_had) < 1e-10
         assert abs(state.phi_transpose(p, q) - want_tr) < 1e-10
         assert abs(state.phi_transpose(q, p) - want_tr) < 1e-10
+
+
+def letter_zoo(n, seed):
+    """One family with every letter kind ``times`` tells apart."""
+    rng = np.random.default_rng(seed)
+    weighted = np.zeros((n, n, 2))
+    phase = rng.uniform(0, 2 * np.pi, n)
+    weighted[rng.permutation(n), np.arange(n)] = np.stack(
+        [np.cos(phase), np.sin(phase)], axis=1
+    )
+    top_row = np.zeros((n, n, 2))
+    top_row[0, :, 0] = 0.4
+    return family_from_json({"dim": n, "matrices": [
+        {"kind": "dense", "data": top_row.tolist()},
+        {"kind": "identity"},
+        {"kind": "diagonal_pattern", "values": [1, -0.5, 2]},
+        {"kind": "projection", "rank_fraction": 0.5},
+        {"kind": "circulant", "first_row": [0, 1]},
+        {"kind": "dense", "data": weighted.tolist()},
+        {"kind": "circulant", "first_row": [0.5, 0.25, 0.25]},
+        {"kind": "random_fixed", "seed": seed},
+    ]})
+
+
+ZOO_LETTERS = st.lists(
+    st.tuples(st.integers(0, 7), st.booleans(), st.booleans()), max_size=2
+).map(lambda factors: DetLetter(tuple(factors)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 7),
+    st.integers(0, 2**31),
+    st.lists(st.tuples(st.sampled_from(["goe", "gue"]), ZOO_LETTERS), min_size=1, max_size=4),
+)
+def test_times_matches_dense_products(n, seed, pairs):
+    from wignerfluct.ensembles import goe_law, gue_law, sample_wigner
+    from wignerfluct.montecarlo import _trace_word
+    from wignerfluct.words import Monomial
+
+    fam = letter_zoo(n, seed)
+    letters = [letter for _, letter in pairs]
+    want = np.eye(n, dtype=complex)
+    for letter in letters:
+        want = want @ fam.letter_matrix(letter)
+    np.testing.assert_allclose(fam.word_matrix(letters), want, rtol=1e-12, atol=1e-12)
+
+    xmats = {
+        "goe": sample_wigner(n, goe_law(), (seed, 0, 0)),
+        "gue": sample_wigner(n, gue_law(), (seed, 1, 0)),
+    }
+    want = np.eye(n, dtype=complex)
+    for wid, letter in pairs:
+        want = want @ xmats[wid] @ fam.letter_matrix(letter)
+    mono = Monomial(tuple(pairs))
+    cache = {}
+    # the second pass reads every factor from the per-replicate cache
+    for _ in range(2):
+        got = _trace_word(mono, xmats, fam, cache)
+        assert abs(got - np.trace(want)) <= 1e-12 * max(1.0, abs(np.trace(want)))
