@@ -17,6 +17,12 @@ The family's dimension is taken from N, so the same config drives
 convergence sweeps.  Reports are plain JSON with a schema_version and a
 config hash that is invariant under key reordering.
 
+``mc`` prints each pair's covariance estimate with its batch-means standard
+error and, when R >= 100, the order 2-4 cumulants of each word's trace.
+``compare`` sets each pair's theory value against the Monte Carlo estimate
+and the exact oracle and prints no cumulants; ``report`` is ``compare``
+plus the cumulants of ``mc`` (an empty object when R < 100).
+
 Exit codes: 0 ok, 1 discrepancy (compare and report), 2 config, input or
 resource error.
 """
@@ -95,15 +101,9 @@ def _frac(value, path):
 
 
 @dataclass
-class EnsembleSpec:
-    params: WignerParams
-    law: object
-    raw: dict
-
-
-@dataclass
 class ExperimentConfig:
-    ensembles: dict  # id -> EnsembleSpec
+    params: dict  # Wigner id -> WignerParams
+    laws: dict  # Wigner id -> entry law
     family_spec: dict
     pairs: list  # (Monomial, Monomial)
     n_list: list
@@ -111,14 +111,6 @@ class ExperimentConfig:
     seed: int
     slack: float
     raw: dict
-
-    @property
-    def params(self):
-        return {wid: spec.params for wid, spec in self.ensembles.items()}
-
-    @property
-    def laws(self):
-        return {wid: spec.law for wid, spec in self.ensembles.items()}
 
     def family(self, n):
         try:
@@ -153,8 +145,7 @@ def _resolve_ensemble(wid, doc):
             _frac(doc["k4"], path + "/k4"),
         )
     theta, eta, k4 = params_of(law)
-    params = WignerParams(float(theta), float(eta), float(k4))
-    return EnsembleSpec(params, law, doc)
+    return WignerParams(float(theta), float(eta), float(k4)), law
 
 
 def _reject_constant(name):
@@ -177,9 +168,10 @@ def parse_config(path):
     )
     if not isinstance(doc["ensembles"], dict) or not doc["ensembles"]:
         _fail("/ensembles", "expected a non-empty object")
-    ensembles = {
-        wid: _resolve_ensemble(wid, spec) for wid, spec in doc["ensembles"].items()
-    }
+    params = {}
+    laws = {}
+    for wid, spec in doc["ensembles"].items():
+        params[wid], laws[wid] = _resolve_ensemble(wid, spec)
     _require(doc["family"], "/family", ["matrices"], optional=["norm_bound"])
     if not isinstance(doc["family"]["matrices"], list) or not doc["family"]["matrices"]:
         _fail("/family/matrices", "expected a non-empty list")
@@ -201,7 +193,7 @@ def parse_config(path):
             raise ConfigError("/pairs/%d: %s" % (i, exc))
         for mono in (p, q):
             for wid in mono.wigner_labels:
-                if wid not in ensembles:
+                if wid not in laws:
                     _fail("/pairs/%d" % i, "word uses undeclared ensemble %r" % wid)
             for letter in mono.det_letters + (mono.scalar_letter,):
                 for j, _, _ in letter.factors:
@@ -223,7 +215,7 @@ def parse_config(path):
     if not _is_number(slack) or slack < 0:
         _fail("/slack", "expected a number >= 0")
     return ExperimentConfig(
-        ensembles, doc["family"], pairs, n_list, doc["R"], doc["seed"],
+        params, laws, doc["family"], pairs, n_list, doc["R"], doc["seed"],
         float(slack), doc,
     )
 
@@ -256,21 +248,21 @@ def _base_record(cfg):
 
 
 def _theory_rows(cfg, family):
+    """(phi2 total as a complex value, JSON row of its terms) for each pair."""
     state = FiniteNState(family)
     rows = []
     for p, q in cfg.pairs:
         terms = phi2_terms(p, q, cfg.params, state)
-        rows.append(
-            {
-                "p": str(p),
-                "q": str(q),
-                "S1": _c2j(terms.s1),
-                "S2": _c2j(terms.s2),
-                "S3": _c2j(terms.s3),
-                "S4": _c2j(terms.s4),
-                "total": _c2j(terms.total),
-            }
-        )
+        row = {
+            "p": str(p),
+            "q": str(q),
+            "S1": _c2j(terms.s1),
+            "S2": _c2j(terms.s2),
+            "S3": _c2j(terms.s3),
+            "S4": _c2j(terms.s4),
+            "total": _c2j(terms.total),
+        }
+        rows.append((complex(terms.total), row))
     return rows
 
 
@@ -294,29 +286,28 @@ def cmd_pairings(args):
 def cmd_theory(args):
     cfg = parse_config(args.config)
     record = _base_record(cfg)
-    record["theory"] = {str(n): _theory_rows(cfg, cfg.family(n)) for n in cfg.n_list}
+    record["theory"] = {
+        str(n): [row for _, row in _theory_rows(cfg, cfg.family(n))] for n in cfg.n_list
+    }
     _emit(record, args.out)
     return 0
 
 
-def _mc_block(cfg, family, seed):
-    n = family.N
-    monos = cfg.monomials()
-    samples = run_traces(monos, n, cfg.r, cfg.laws, family, seed)
-    pairs_out = []
-    for p, q in cfg.pairs:
-        est, se = empirical_cov(samples, p, q)
-        pairs_out.append(
-            {"p": str(p), "q": str(q), "estimate": _c2j(est), "std_error": se}
-        )
-    cums = {}
-    if cfg.r >= 100:
-        for mono in monos:
-            cums[str(mono)] = [
-                {"order": o, "value": v, "std_error": se}
-                for o, v, se in empirical_cumulants(samples, mono)
-            ]
-    return {"N": n, "R": cfg.r, "covariances": pairs_out, "cumulants": cums}
+def _samples(cfg, family, seed):
+    return run_traces(cfg.monomials(), family.N, cfg.r, cfg.laws, family, seed)
+
+
+def _cumulants(cfg, samples):
+    """Cumulants of orders 2-4 of each monomial's trace; none below R = 100."""
+    if cfg.r < 100:
+        return {}
+    return {
+        str(mono): [
+            {"order": o, "value": v, "std_error": se}
+            for o, v, se in empirical_cumulants(samples, mono)
+        ]
+        for mono in samples.monomials
+    }
 
 
 def _seed(args, cfg):
@@ -331,7 +322,17 @@ def cmd_mc(args):
     cfg = parse_config(args.config)
     seed = _seed(args, cfg)
     record = _base_record(cfg)
-    record["mc"] = [_mc_block(cfg, cfg.family(n), seed) for n in cfg.n_list]
+    record["mc"] = []
+    for n in cfg.n_list:
+        samples = _samples(cfg, cfg.family(n), seed)
+        covariances = []
+        for p, q in cfg.pairs:
+            est, se = empirical_cov(samples, p, q)
+            covariances.append(
+                {"p": str(p), "q": str(q), "estimate": _c2j(est), "std_error": se}
+            )
+        record["mc"].append({"N": n, "R": cfg.r, "covariances": covariances,
+                             "cumulants": _cumulants(cfg, samples)})
     _emit(record, args.out)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -413,12 +414,10 @@ def cmd_compare(args, with_cumulants=False):
     for n in cfg.n_list:
         family = cfg.family(n)
         theory = _theory_rows(cfg, family)
-        mc = _mc_block(cfg, family, seed)
+        samples = _samples(cfg, family, seed)
         rows = []
-        for t_row, m_row, (p, q) in zip(theory, mc["covariances"], cfg.pairs):
-            theory_val = complex(t_row["total"]["re"], t_row["total"]["im"])
-            est = complex(m_row["estimate"]["re"], m_row["estimate"]["im"])
-            se = m_row["std_error"]
+        for (theory_val, t_row), (p, q) in zip(theory, cfg.pairs):
+            est, se = empirical_cov(samples, p, q)
             tol = 4.0 * se + cfg.slack / n
             flag = abs(est - theory_val) > tol
             any_flag = any_flag or flag
@@ -426,7 +425,7 @@ def cmd_compare(args, with_cumulants=False):
                 "p": t_row["p"],
                 "q": t_row["q"],
                 "theory": t_row,
-                "mc_estimate": m_row["estimate"],
+                "mc_estimate": _c2j(est),
                 "mc_std_error": se,
                 "tolerance": tol,
                 "discrepancy": flag,
@@ -437,7 +436,7 @@ def cmd_compare(args, with_cumulants=False):
             rows.append(row)
         block = {"N": n, "R": cfg.r, "pairs": rows}
         if with_cumulants:
-            block["cumulants"] = mc["cumulants"]
+            block["cumulants"] = _cumulants(cfg, samples)
         runs.append(block)
     record["runs"] = runs
     record["discrepancy"] = any_flag

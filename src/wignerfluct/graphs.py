@@ -27,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .ensembles import diagonal_moment, entry_moment
-from .words import IDENTITY_LETTER
 
 
 @dataclass(frozen=True)
@@ -354,7 +353,6 @@ def _component_leaf_stat(comp_vertices, a_pairs):
 def classify(graph):
     """Per-component topology report of a quotient graph."""
     verts, pairs, comps = gdc(graph)
-    where = {v: i for i, c in enumerate(comps) for v in c}
     gdc_comps = _components(verts, pairs)
     apairs = _a_pairs(graph)
 

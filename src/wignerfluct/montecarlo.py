@@ -75,32 +75,41 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
     if n * n * (len(wids) + 1) > 50_000_000:
         raise MemoryError("N and ensemble count exceed the memory guard")
     data = {mono: np.empty(r, dtype=complex) for mono in monomials}
-    const = {}
+    words = []
     for mono in monomials:
         if mono.degree == 0:
-            const[mono] = complex(np.trace(family.letter_matrix(mono.scalar_letter)))
+            data[mono][:] = np.trace(family.letter_matrix(mono.scalar_letter))
+        else:
+            words.append(mono)
     for rep in range(r):
         xmats = {
             wid: sample_wigner(n, ensembles[wid], (master_seed, k, rep))
             for k, wid in enumerate(wids)
         }
         cache = {}
-        for mono in monomials:
-            if mono.degree == 0:
-                data[mono][rep] = const[mono]
-            else:
-                data[mono][rep] = _trace_word(mono, xmats, family, cache)
+        for mono in words:
+            data[mono][rep] = _trace_word(mono, xmats, family, cache)
     return TraceSamples(monomials, data, n, r, master_seed, tuple(wids))
 
 
-def _batch_se(values):
-    """Standard error of the mean of a complex series via batch means."""
-    r = len(values)
-    b = min(DEFAULT_BATCHES, r)
-    size = r // b
-    means = np.array([values[i * size:(i + 1) * size].mean() for i in range(b)])
-    center = means.mean()
-    return float(np.sqrt(np.sum(np.abs(means - center) ** 2) / (b * (b - 1))))
+def _batch_se(stat, b, *series):
+    """Batch-means standard error of ``stat`` over b equal batches of the series.
+
+    ``stat`` maps equal-length slices of the series to a number or a tuple
+    of numbers; the result is sqrt(var(ddof=1) / b) of the b batch values.
+    """
+    size = len(series[0]) // b
+    per_batch = np.array(
+        [stat(*(s[i * size:(i + 1) * size] for s in series)) for i in range(b)]
+    )
+    return np.sqrt(np.var(per_batch, axis=0, ddof=1) / b)
+
+
+def _cumulant_batches(r):
+    """Batch count of the cumulant estimators, which need 100 replicates."""
+    if r < 100:
+        raise ValueError("cumulants of order >= 3 need at least 100 replicates")
+    return min(DEFAULT_BATCHES, r // 8)
 
 
 def empirical_cov(samples, p, q):
@@ -114,7 +123,7 @@ def empirical_cov(samples, p, q):
     cq = zq - zq.mean()
     prod = cp * cq
     est = complex(prod.sum() / (r - 1))
-    return est, _batch_se(prod)
+    return est, float(_batch_se(np.mean, min(DEFAULT_BATCHES, r), prod))
 
 
 def _k_stats(x):
@@ -139,14 +148,8 @@ def empirical_cumulants(samples, p):
     Returns a list of (order, value, std_error).
     """
     z = np.real(samples.traces(p))
-    r = len(z)
-    if r < 100:
-        raise ValueError("cumulants of order >= 3 need at least 100 replicates")
     full = _k_stats(z)
-    b = min(DEFAULT_BATCHES, r // 8)
-    size = r // b
-    per_batch = np.array([_k_stats(z[i * size:(i + 1) * size]) for i in range(b)])
-    ses = np.sqrt(np.var(per_batch, axis=0, ddof=1) / b)
+    ses = _batch_se(_k_stats, _cumulant_batches(len(z)), z)
     return [(k + 2, full[k], float(ses[k])) for k in range(3)]
 
 
@@ -154,7 +157,7 @@ def mixed_third_cumulant(samples, p, q):
     """k-statistic estimate of cum(Z(p), Z(p), Z(q)) with a batch-means SE."""
     zp = np.real(samples.traces(p))
     zq = np.real(samples.traces(q))
-    r = len(zp)
+    nb = _cumulant_batches(len(zp))
 
     def stat(a, b):
         n = len(a)
@@ -162,14 +165,7 @@ def mixed_third_cumulant(samples, p, q):
         cb = b - b.mean()
         return n * n * float(np.mean(ca * ca * cb)) / ((n - 1) * (n - 2))
 
-    full = stat(zp, zq)
-    nb = min(DEFAULT_BATCHES, r // 8)
-    size = r // nb
-    per_batch = np.array(
-        [stat(zp[i * size:(i + 1) * size], zq[i * size:(i + 1) * size]) for i in range(nb)]
-    )
-    se = float(np.sqrt(np.var(per_batch, ddof=1) / nb))
-    return full, se
+    return stat(zp, zq), float(_batch_se(stat, nb, zp, zq))
 
 
 def is_gaussian(samples, p):

@@ -10,7 +10,7 @@ legitimate because every word is evaluated inside a trace).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

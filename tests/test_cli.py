@@ -297,16 +297,38 @@ def test_compare_small_run_ok(tmp_path):
     assert "timing" in rec
 
 
-def test_report_includes_cumulants(tmp_path):
+def test_report_includes_cumulants(tmp_path, monkeypatch):
+    # compare computes no cumulants; report computes each monomial's once
+    from wignerfluct import cli
+
+    calls = []
+    empirical_cumulants = cli.empirical_cumulants
+
+    def counted(samples, mono):
+        calls.append(str(mono))
+        return empirical_cumulants(samples, mono)
+
+    monkeypatch.setattr(cli, "empirical_cumulants", counted)
     doc = base_config()
     doc["N"] = 16
+    doc["pairs"] = [["x1 a0", "x1 a0"], ["x1 a0", "x1 a0 x1 a0"]]
     cfg = write_config(tmp_path, doc)
+    out = tmp_path / "compare.json"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == []
+    assert "cumulants" not in json.loads(out.read_text())["runs"][0]
+
     out = tmp_path / "report.json"
     code = main(["report", "--config", cfg, "--out", str(out)])
     rec = json.loads(out.read_text())
     assert code == 0
     assert rec["discrepancy"] is False
-    assert "cumulants" in rec["runs"][0]
+    assert calls == ["x1 a0", "x1 a0 x1 a0"]
+    mc = tmp_path / "mc.json"
+    assert main(["mc", "--config", cfg, "--out", str(mc)]) == 0
+    cumulants = json.loads(mc.read_text())["mc"][0]["cumulants"]
+    assert sorted(cumulants) == ["x1 a0", "x1 a0 x1 a0"]
+    assert rec["runs"][0]["cumulants"] == cumulants
 
 
 def test_memory_guard_exits_with_input_error(tmp_path, capsys):

@@ -24,7 +24,6 @@ from wignerfluct.graphs import (
     graph_trace,
     injective_trace,
     leaf_count,
-    leaves_count,
     omega_X,
     quotient,
     set_partitions,

@@ -1,18 +1,19 @@
-import math
-
 import numpy as np
 import pytest
 
 from wignerfluct.ensembles import goe_law, gue_law, rademacher_law
 from wignerfluct.montecarlo import (
+    DEFAULT_BATCHES,
     TraceSamples,
+    _batch_se,
+    _k_stats,
     empirical_cov,
     empirical_cumulants,
     is_gaussian,
     mixed_third_cumulant,
     run_traces,
 )
-from wignerfluct.states import DetFamily, FiniteNState, circulant, diagonal_pattern
+from wignerfluct.states import DetFamily, circulant, diagonal_pattern
 from wignerfluct.words import parse_word
 
 
@@ -139,6 +140,58 @@ def test_cumulants_need_enough_replicates():
     samples = TraceSamples(("z",), {"z": np.zeros(50, dtype=complex)}, 0, 50, 0, ())
     with pytest.raises(ValueError):
         empirical_cumulants(samples, "z")
+
+
+@pytest.mark.parametrize("r", [2, 5, 10, 50])
+def test_mixed_third_cumulant_needs_enough_replicates(r):
+    rng = np.random.default_rng(r)
+    data = {k: rng.standard_normal(r).astype(complex) for k in "pq"}
+    samples = TraceSamples(("p", "q"), data, 0, r, 0, ())
+    with pytest.raises(ValueError, match="100 replicates"):
+        mixed_third_cumulant(samples, "p", "q")
+
+
+def _mixed_k3(a, b):
+    n = len(a)
+    ca = a - a.mean()
+    cb = b - b.mean()
+    return n * n * np.mean(ca * ca * cb) / ((n - 1) * (n - 2))
+
+
+@pytest.mark.parametrize("r", [30, 4000])
+def test_batch_se_matches_explicit_batches(r):
+    # the shared batch routine against the per-estimator loops it replaced
+    rng = np.random.default_rng(r)
+    zp = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    zq = rng.exponential(1.0, r) + 1j * rng.standard_normal(r)
+    samples = TraceSamples(("p", "q"), {"p": zp, "q": zq}, 0, r, 0, ())
+
+    # covariance: the spread of explicit complex batch means
+    prod = (zp - zp.mean()) * (zq - zq.mean())
+    b = min(DEFAULT_BATCHES, r)
+    size = r // b
+    means = np.array([prod[i * size:(i + 1) * size].mean() for i in range(b)])
+    want = np.sqrt(np.sum(np.abs(means - means.mean()) ** 2) / (b * (b - 1)))
+    assert empirical_cov(samples, "p", "q")[1] == pytest.approx(want, rel=1e-12)
+
+    # cumulants: the spread of per-batch k-statistics
+    x, y = zp.real, zq.real
+    b = min(DEFAULT_BATCHES, r // 8)
+    size = r // b
+    cuts = [slice(i * size, (i + 1) * size) for i in range(b)]
+    k_stats = np.array([_k_stats(x[c]) for c in cuts])
+    want_k = np.sqrt(np.sum((k_stats - k_stats.mean(axis=0)) ** 2, axis=0) / (b * (b - 1)))
+    mixed = np.array([_mixed_k3(x[c], y[c]) for c in cuts])
+    want_m = np.sqrt(np.sum((mixed - mixed.mean()) ** 2) / (b * (b - 1)))
+    np.testing.assert_allclose(_batch_se(_k_stats, b, x), want_k, rtol=1e-12)
+    np.testing.assert_allclose(_batch_se(_mixed_k3, b, x, y), want_m, rtol=1e-12)
+    if r >= 100:
+        cums = empirical_cumulants(samples, "p")
+        np.testing.assert_allclose([se for _, _, se in cums], want_k, rtol=1e-12)
+        assert [v for _, v, _ in cums] == list(_k_stats(x))
+        value, se = mixed_third_cumulant(samples, "p", "q")
+        assert value == pytest.approx(_mixed_k3(x, y), rel=1e-12)
+        assert se == pytest.approx(want_m, rel=1e-12)
 
 
 def test_missing_monomial_raises():

@@ -18,7 +18,7 @@ from wignerfluct.states import (
     projection,
     random_fixed,
 )
-from wignerfluct.words import DetLetter, IDENTITY_LETTER, parse_word
+from wignerfluct.words import DetLetter, IDENTITY_LETTER
 
 
 def make_pairing(m, n, pairs):

@@ -3,9 +3,7 @@ import pytest
 from wignerfluct.words import (
     DetLetter,
     IDENTITY_LETTER,
-    Monomial,
     Polynomial,
-    canonicalize,
     parse_word,
     s_transform,
 )
