@@ -10,10 +10,13 @@ The pairings are built, not searched for (Mingo-Nica, IMRN 2004).  One
 with l >= 1 through strings puts l spoke endpoints on each circle, leaves
 an even gap between consecutive endpoints, pairs each gap non-crossingly
 as a line, and joins the spokes in one of l rotations with the circles in
-opposite orientations.  Each pairing carries its Kreweras cycles, through
-splits and through count as tuples, computed once per process.  The
-brute-force sweep over involutions with the genus count is kept only as a
-test oracle.
+opposite orientations.  A disc of k points is the (k, 0)-annulus, and its
+pairings are built as the gaps are.  Each pairing, on the disc or the
+annulus, carries its Kreweras cycles, the through split of each cycle
+(``None`` for a cycle on one circle) and its through count as tuples,
+computed once per process; this module alone decides which cycles are
+through cycles.  The brute-force sweep over involutions with the genus count
+is kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -129,7 +132,10 @@ def _through_pairs(match, m, n):
 
 @dataclass(frozen=True)
 class AnnularPairing:
-    """A non-crossing pairing of the (m, n)-annulus with >= 1 through string."""
+    """A non-crossing pairing of the (m, n)-annulus with >= 1 through string.
+
+    A disc pairing of k points is a (k, 0)-annulus one, with none.
+    """
 
     m: int
     n: int
@@ -162,8 +168,8 @@ class AnnularPairing:
 
     @cached_property
     def through_splits(self):
-        """``through_cycles(kreweras(self), m, n)``, as a tuple."""
-        return tuple(_through_splits(self.kreweras_cycles, self.m))
+        """Each Kreweras cycle's (outer, inner) split, or None on one circle."""
+        return tuple([_through_split(c, self.m) for c in self.kreweras_cycles])
 
     def as_permutation(self):
         return CyclePermutation(self.size, self.match)
@@ -374,23 +380,23 @@ def through_cycles(kperm, m, n):
     pairing consists of a contiguous run of outer positions followed by a
     contiguous run of inner positions (up to rotation of the cycle).
     """
-    return list(_through_splits(kperm.cycles, m))
+    splits = (_through_split(cyc, m) for cyc in kperm.cycles)
+    return [s for s in splits if s is not None]
 
 
-def _through_splits(cycles, m):
-    # each cycle starts at its minimum and the cycles are sorted by it
-    for cyc in cycles:
-        if cyc[0] > m:
-            break  # the rest lie on the inner circle
-        if max(cyc) <= m:
-            continue
-        # outer, then inner from k, then outer again from e
-        inner = [i > m for i in cyc] + [False]
-        k = inner.index(True)
-        e = inner.index(False, k)
-        if True in inner[e:]:
-            raise ValueError("through cycle is not split into two arcs: %r" % (cyc,))
-        yield cyc[e:] + cyc[:k], cyc[k:e]
+def _through_split(cyc, m):
+    """(outer arc, inner arc) of a cycle meeting both circles, else None."""
+    # a cycle starts at its minimum: it meets both circles iff that minimum
+    # is outer and its maximum inner
+    if not cyc[0] <= m < max(cyc):
+        return None
+    # outer, then inner from k, then outer again from e
+    inner = [i > m for i in cyc] + [False]
+    k = inner.index(True)
+    e = inner.index(False, k)
+    if True in inner[e:]:
+        raise ValueError("through cycle is not split into two arcs: %r" % (cyc,))
+    return cyc[e:] + cyc[:k], cyc[k:e]
 
 
 def is_non_mixing(pairing, labels):
@@ -405,19 +411,20 @@ def is_non_mixing(pairing, labels):
 
 @lru_cache(maxsize=None)
 def _enumerate_nc2_disc_cached(k):
-    if k % 2:
-        return ()
     out = []
     for pairs in _line_pairings(k):
         match = [0] * (k + 1)
         for a, b in pairs:
             match[a + 1], match[b + 1] = b + 1, a + 1
-        out.append(tuple(match))
+        out.append(_built_pairing(k, 0, tuple(match)))
     return tuple(out)
 
 
 def enumerate_nc2_disc(k):
-    """Non-crossing pairings of a single k-cycle (Catalan(k/2) of them)."""
+    """Non-crossing pairings of a single k-cycle (Catalan(k/2) of them).
+
+    Each is a (k, 0)-annulus ``AnnularPairing``, sorted by match.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > DEFAULT_SIZE_LIMIT:
@@ -428,9 +435,3 @@ def enumerate_nc2_disc(k):
 def disc_kreweras(match, k):
     """Kreweras complement on the disc: i -> sigma(i+1) with gamma = (1..k)."""
     return CyclePermutation(k, _kreweras_map(match, (k,)))
-
-
-@lru_cache(maxsize=None)
-def disc_kreweras_cycles(match):
-    """The cycles of ``disc_kreweras(match, k)`` as a tuple, once per pairing."""
-    return tuple(_cycles(_kreweras_map(match, (len(match) - 1,))))

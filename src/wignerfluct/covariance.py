@@ -21,12 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .annular import (
-    disc_kreweras_cycles,
-    enumerate_nc2,
-    enumerate_nc2_disc,
-    is_non_mixing,
-)
+from .annular import enumerate_nc2, enumerate_nc2_disc, is_non_mixing
 from .states import eval_phi_K, eval_phi_tilde_K
 from .words import Monomial, Polynomial, s_transform
 
@@ -75,17 +70,12 @@ def first_order(mono, params, state):
         return state.phi([mono.scalar_letter])
     if k % 2:
         return 0j
-    labels = mono.wigner_labels
-    letters = mono.det_letters
-    vals = []
-    for match in enumerate_nc2_disc(k):
-        if any(labels[i - 1] != labels[match[i] - 1] for i in range(1, k + 1)):
-            continue
-        term = 1.0 + 0.0j
-        for cyc in disc_kreweras_cycles(match):
-            term *= state.phi([letters[i - 1] for i in cyc])
-        vals.append(term)
-    return _csum(vals)
+    labels, letters = mono.wigner_labels, mono.det_letters
+    return _csum([
+        eval_phi_K(sigma, letters, state)
+        for sigma in enumerate_nc2_disc(k)
+        if is_non_mixing(sigma, labels)
+    ])
 
 
 def first_order_poly(poly, params, state):

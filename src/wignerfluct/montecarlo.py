@@ -26,10 +26,7 @@ GAUSSIAN_SIGMAS = 5.0
 class TraceSamples:
     monomials: tuple
     data: dict  # Monomial -> complex array of shape (R,)
-    N: int
     R: int
-    master_seed: int
-    ensemble_ids: tuple
 
     def traces(self, mono):
         try:
@@ -82,14 +79,15 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
         else:
             words.append(mono)
     for rep in range(r):
+        # a new cache first: the last replicate's factors go before the draw
+        cache = {}
         xmats = {
             wid: sample_wigner(n, ensembles[wid], (master_seed, k, rep))
             for k, wid in enumerate(wids)
         }
-        cache = {}
         for mono in words:
             data[mono][rep] = _trace_word(mono, xmats, family, cache)
-    return TraceSamples(monomials, data, n, r, master_seed, tuple(wids))
+    return TraceSamples(monomials, data, r)
 
 
 def _batch_se(stat, b, *series):

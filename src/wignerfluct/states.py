@@ -1,14 +1,16 @@
 """Concrete deterministic families and the functionals phi, phi_hadamard, phi_t.
 
 One state class, ``FiniteNState``, evaluates the functionals the covariance
-sum needs and memoizes them as scalars.  ``phi`` is keyed on the cyclically
-minimized factor tuple of its word, ``phi_hadamard`` on the unordered pair
-of its arguments' factor tuples, each taken up to a transpose of the whole
-word, and ``phi_transpose(p, q)`` is ``phi`` of p followed by the reversed
-transposes of q.  On a miss the value is computed on the state's N x N
-family; a state without a family (``SymbolicState``, built from tables of
-an abstract limit) raises ``KeyError`` instead.  Every word product, here
-and in Monte Carlo, is one ``DetFamily.times`` call per letter.
+sum needs and memoizes them as scalars.  A call looks up its words' factor
+tuples as given; a computed value is stored once under every equivalent
+key: every rotation of the word for ``phi``, both transposes of each
+argument in both orders for ``phi_hadamard``.  ``phi_transpose(p, q)`` is
+``phi`` of p followed by the reversed transposes of q.  On a miss the value
+is computed on the state's N x N family; a state without a family
+(``SymbolicState``, whose tables go through the same store) raises
+``KeyError`` instead.  The per-pairing evaluators read each pairing's
+Kreweras cycles and through splits.  Every word product, here and in Monte
+Carlo, is one ``DetFamily.times`` call per letter.
 """
 
 from __future__ import annotations
@@ -131,19 +133,25 @@ class DetFamily:
         return functools.reduce(self.times, letters[1:], first)
 
 
-def _cyclic_min(key):
-    if not key:
-        return key
-    return min(tuple(key[i:] + key[:i]) for i in range(len(key)))
-
-
 def _word_key(letters):
     return tuple(f for letter in letters for f in letter.factors)
 
 
-def _hadamard_key(key):
-    # a word and its transpose have the same diagonal
-    return min(key, DetLetter(key).transpose().factors)
+def _store_phi(table, key, value):
+    """Store a phi value under every rotation of its word: trace is cyclic."""
+    for i in range(len(key)):
+        table[key[i:] + key[:i]] = value
+
+
+def _store_hadamard(table, ka, kb, value):
+    """Store a phi_hadamard value under each argument and its transpose.
+
+    Both argument orders are stored: a word and its transpose have the same
+    diagonal, and the entry-wise product commutes.
+    """
+    for a in (ka, DetLetter(ka).transpose().factors):
+        for b in (kb, DetLetter(kb).transpose().factors):
+            table[a, b] = table[b, a] = value
 
 
 class FiniteNState:
@@ -165,7 +173,7 @@ class FiniteNState:
         return self.family.N
 
     def phi(self, letters):
-        key = _cyclic_min(_word_key(letters))
+        key = _word_key(letters)
         if not key:
             return 1.0 + 0.0j
         got = self._phi.get(key)
@@ -173,21 +181,19 @@ class FiniteNState:
             if self.family is None:
                 raise KeyError("no symbolic table entry for word %r" % (key,))
             got = complex(np.trace(self.family.word_matrix(letters)) / self.N)
-            self._phi[key] = got
+            _store_phi(self._phi, key, got)
         return got
 
     def phi_hadamard(self, letters_p, letters_q):
-        ka = _hadamard_key(_word_key(letters_p))
-        kb = _hadamard_key(_word_key(letters_q))
-        key = frozenset([ka, kb])
-        got = self._hadamard.get(key)
+        ka, kb = _word_key(letters_p), _word_key(letters_q)
+        got = self._hadamard.get((ka, kb))
         if got is None:
             if self.family is None:
                 raise KeyError("no symbolic hadamard entry for (%r, %r)" % (ka, kb))
             p = self.family.word_matrix(letters_p)
             q = self.family.word_matrix(letters_q)
             got = complex(np.sum(np.diagonal(p) * np.diagonal(q)) / self.N)
-            self._hadamard[key] = got
+            _store_hadamard(self._hadamard, ka, kb, got)
         return got
 
     def phi_transpose(self, letters_p, letters_q):
@@ -199,18 +205,18 @@ class SymbolicState(FiniteNState):
     """A state given by tables for abstract limits, with no matrix family.
 
     ``phi_table`` maps factor tuples to values; ``hadamard_table`` maps pairs
-    of factor tuples.  Keys are normalized as ``FiniteNState`` keys them, so
-    a table entry answers every rotation of its word (phi) and either
-    transpose of each argument (phi_hadamard).
+    of factor tuples.  Entries are stored as ``FiniteNState`` stores a
+    computed value, so a table entry answers every rotation of its word
+    (phi) and either transpose of each argument, in either order
+    (phi_hadamard).
     """
 
     def __init__(self, phi_table, hadamard_table=None):
         super().__init__(None)
-        self._phi = {_cyclic_min(k): complex(v) for k, v in phi_table.items()}
-        self._hadamard = {
-            frozenset([_hadamard_key(ka), _hadamard_key(kb)]): complex(v)
-            for (ka, kb), v in (hadamard_table or {}).items()
-        }
+        for key, value in phi_table.items():
+            _store_phi(self._phi, key, complex(value))
+        for (ka, kb), value in (hadamard_table or {}).items():
+            _store_hadamard(self._hadamard, ka, kb, complex(value))
 
 
 def eval_phi_K(pairing, letters, state):
@@ -232,19 +238,15 @@ def eval_phi_tilde_K(pairing, letters, state):
         raise ValueError("phi_tilde requires 1 or 2 through strings")
     if len(letters) != pairing.size:
         raise ValueError("need m+n letters")
-    m = pairing.m
-    splits = iter(pairing.through_splits)
     out = 1.0 + 0.0j
-    for cyc in pairing.kreweras_cycles:
-        # a cycle starts at its minimum: it is a through cycle iff that
-        # minimum is outer and its maximum inner; splits come in cycle order
-        if cyc[0] <= m < max(cyc):
-            outer, inner = next(splits)
+    for cyc, split in zip(pairing.kreweras_cycles, pairing.through_splits):
+        if split is None:
+            out *= state.phi([letters[i - 1] for i in cyc])
+        else:
+            outer, inner = split
             out *= state.phi_hadamard(
                 [letters[i - 1] for i in outer], [letters[i - 1] for i in inner]
             )
-        else:
-            out *= state.phi([letters[i - 1] for i in cyc])
     return out
 
 

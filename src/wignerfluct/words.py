@@ -171,7 +171,8 @@ def parse_word(text):
 
     ``xID`` is a Wigner letter (ID is the ensemble id), ``aK`` the K-th
     deterministic matrix of the family with optional ``*`` (adjoint) and
-    ``t`` (transpose) suffixes, and ``1`` (or ``I``) the identity letter.
+    ``t`` (transpose) suffixes, at most one of each, and ``1`` (or ``I``)
+    the identity letter.
     """
     tokens = []
     for tok in text.split():
@@ -182,6 +183,8 @@ def parse_word(text):
         if not m:
             raise ValueError("cannot parse word token %r" % tok)
         kind, ident, star1, tflag, star2 = m.groups()
+        if star1 and star2:
+            raise ValueError("word token %r has two stars; write at most one" % tok)
         star = bool(star1 or star2)
         if kind == "x":
             if tflag:

@@ -11,7 +11,6 @@ from wignerfluct.annular import (
     _involutions,
     _through_pairs,
     disc_kreweras,
-    disc_kreweras_cycles,
     enumerate_nc2,
     enumerate_nc2_disc,
     filter_by_through,
@@ -139,7 +138,8 @@ def test_kreweras_figure_fixture():
     k = kreweras(p)
     assert k.cycles == [(1,), (2, 10, 12, 6, 8), (3, 5, 9), (4,), (7,), (11,)]
     assert p.kreweras_cycles == tuple(k.cycles)
-    assert p.through_splits == (((6, 8, 2), (10, 12)), ((3, 5), (9,)))
+    split_a, split_b = ((6, 8, 2), (10, 12)), ((3, 5), (9,))
+    assert p.through_splits == (None, split_a, split_b, None, None, None)
     assert p.through_count == 2
 
 
@@ -150,9 +150,12 @@ def test_pairing_tables_match_kreweras():
             for p in enumerate_nc2(m, n):
                 k = kreweras(p)
                 assert p.kreweras_cycles == tuple(k.cycles)
-                assert p.through_splits == tuple(through_cycles(k, m, n))
+                # one split per cycle, None off the through cycles
+                assert len(p.through_splits) == len(p.kreweras_cycles)
+                splits = [s for s in p.through_splits if s is not None]
+                assert splits == through_cycles(k, m, n)
                 # one through cycle of K(sigma) per through string of sigma
-                assert p.through_count == len(p.through_splits)
+                assert p.through_count == len(splits)
 
 
 def test_through_cycles_split():
@@ -221,7 +224,7 @@ def crosses(match, k):
 def test_disc_enumeration_matches_crossing_test():
     for k in range(0, 15, 2):
         expected = [match for match in involution_list(k) if not crosses(match, k)]
-        assert enumerate_nc2_disc(k) == expected
+        assert [p.match for p in enumerate_nc2_disc(k)] == expected
 
 
 def test_disc_enumeration_catalan():
@@ -242,5 +245,7 @@ def test_disc_kreweras_nested_pair():
 
 def test_disc_kreweras_cycles_match_disc_kreweras():
     for k in range(0, 11, 2):
-        for match in enumerate_nc2_disc(k):
-            assert disc_kreweras_cycles(match) == tuple(disc_kreweras(match, k).cycles)
+        for p in enumerate_nc2_disc(k):
+            assert (p.m, p.n, p.through_count) == (k, 0, 0)
+            assert p.kreweras_cycles == tuple(disc_kreweras(p.match, k).cycles)
+            assert p.through_splits == (None,) * len(p.kreweras_cycles)

@@ -359,6 +359,20 @@ def test_out_of_range_matrix_index_is_a_config_error(tmp_path, capsys):
             assert "Traceback" not in err
 
 
+def test_two_stars_in_a_token_are_a_config_error(tmp_path, capsys):
+    doc = base_config()
+    doc["family"]["matrices"].append({"kind": "circulant", "first_row": [0, 1]})
+    for word in ("x1 a1**", "x1 a1*t*"):
+        doc["pairs"] = [["x1 a0", "x1 a0"], [word, "x1 a1"]]
+        cfg = write_config(tmp_path, doc)
+        for command in ("theory", "compare"):
+            assert main([command, "--config", cfg]) == 2, (word, command)
+            err = capsys.readouterr().err
+            assert err.startswith("config error: /pairs/1: "), err
+            assert "two stars" in err
+            assert "Traceback" not in err
+
+
 def test_main_exit_code_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -5,11 +5,15 @@ identity family; the structured checks compare against explicit closed forms
 for low-degree words and against the exact finite-N partition oracle.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wignerfluct.annular import _involutions, disc_kreweras
 from wignerfluct.covariance import (
     GOE,
     GUE,
@@ -282,6 +286,53 @@ def test_conjugate_cov_is_hermitian(n, seed, P, Q, par1, par2):
     assert abs(value - swapped.conjugate()) <= 1e-10 * (1 + abs(value))
 
 
+def first_order_by_crossing_test(mono, state):
+    """first_order by the crossing test on every involution and disc_kreweras."""
+    k = mono.degree
+    labels, letters = mono.wigner_labels, mono.det_letters
+    vals = []
+    for match in _involutions(k):
+        chords = [(i, match[i]) for i in range(1, k + 1) if i < match[i]]
+        if any(a < c < b < d or c < a < d < b
+               for (a, b), (c, d) in itertools.combinations(chords, 2)):
+            continue
+        if any(labels[i - 1] != labels[match[i] - 1] for i in range(1, k + 1)):
+            continue
+        term = 1.0 + 0.0j
+        for cyc in disc_kreweras(match, k).cycles:
+            term *= state.phi([letters[i - 1] for i in cyc])
+        vals.append(term)
+    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+
+
+FAMILY_LETTERS = st.lists(
+    st.tuples(st.integers(0, 2), st.booleans(), st.booleans()), max_size=2
+).map(lambda factors: DetLetter(tuple(factors)))
+EVEN_MONOMIALS = st.integers(1, 4).flatmap(
+    lambda half: st.lists(
+        st.tuples(st.sampled_from(["1", "2"]), FAMILY_LETTERS),
+        min_size=2 * half,
+        max_size=2 * half,
+    )
+).map(lambda pairs: Monomial(tuple(pairs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**31), EVEN_MONOMIALS,
+       st.sampled_from(["1", "2"]))
+def test_first_order_matches_crossing_test_loop(n, seed, mono, relabel):
+    # one id or two: every label may be folded onto one
+    if relabel == "2":
+        mono = Monomial(tuple((relabel, a) for _, a in mono.pairs))
+    fam = DetFamily([
+        diagonal_pattern(n, [1, -0.5, 2j]),
+        circulant(n, [0.5, 1]),
+        random_fixed(n, seed),
+    ])
+    got = first_order(mono, id_params(), FiniteNState(fam))
+    assert got == first_order_by_crossing_test(mono, FiniteNState(fam))
+
+
 def test_evaluation_reads_pairing_tables(monkeypatch):
     # the Kreweras data comes from each pairing's table, not from the
     # Kreweras maps, wherever a module binds them
@@ -301,7 +352,7 @@ def test_evaluation_reads_pairing_tables(monkeypatch):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, recording(name, getattr(mod, name)))
     annular._enumerate_nc2_cached.cache_clear()
-    annular.disc_kreweras_cycles.cache_clear()
+    annular._enumerate_nc2_disc_cached.cache_clear()
     fam = DetFamily([diagonal_pattern(6, [1, -0.5, 2]), circulant(6, [0.5, 1])])
     state = FiniteNState(fam)
     params = {"1": WignerParams(0.5, 2.0, 1.0)}

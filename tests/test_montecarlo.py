@@ -104,7 +104,7 @@ def test_k2_matches_variance():
 def test_cumulant_calibration_synthetic_gaussian():
     rng = np.random.default_rng(0)
     z = rng.standard_normal(20000) * 2.0
-    samples = TraceSamples(("z",), {"z": z.astype(complex)}, 0, len(z), 0, ())
+    samples = TraceSamples(("z",), {"z": z.astype(complex)}, len(z))
     cums = empirical_cumulants(samples, "z")
     k2 = cums[0][1]
     assert k2 == pytest.approx(4.0, rel=0.05)
@@ -117,7 +117,7 @@ def test_cumulant_calibration_synthetic_gaussian():
 def test_cumulant_detects_skewness():
     rng = np.random.default_rng(1)
     z = rng.exponential(1.0, 20000)
-    samples = TraceSamples(("z",), {"z": z.astype(complex)}, 0, len(z), 0, ())
+    samples = TraceSamples(("z",), {"z": z.astype(complex)}, len(z))
     ok, cums = is_gaussian(samples, "z")
     assert not ok
     # exponential cumulants are 1, 2, 6 at orders 2..4
@@ -130,14 +130,14 @@ def test_mixed_third_cumulant_synthetic():
     zp = g
     zq = g * g  # cum(zp, zp, zq) = 2 for this construction
     samples = TraceSamples(
-        ("p", "q"), {"p": zp.astype(complex), "q": zq.astype(complex)}, 0, len(g), 0, ()
+        ("p", "q"), {"p": zp.astype(complex), "q": zq.astype(complex)}, len(g)
     )
     val, se = mixed_third_cumulant(samples, "p", "q")
     assert val == pytest.approx(2.0, abs=5 * se)
 
 
 def test_cumulants_need_enough_replicates():
-    samples = TraceSamples(("z",), {"z": np.zeros(50, dtype=complex)}, 0, 50, 0, ())
+    samples = TraceSamples(("z",), {"z": np.zeros(50, dtype=complex)}, 50)
     with pytest.raises(ValueError):
         empirical_cumulants(samples, "z")
 
@@ -146,7 +146,7 @@ def test_cumulants_need_enough_replicates():
 def test_mixed_third_cumulant_needs_enough_replicates(r):
     rng = np.random.default_rng(r)
     data = {k: rng.standard_normal(r).astype(complex) for k in "pq"}
-    samples = TraceSamples(("p", "q"), data, 0, r, 0, ())
+    samples = TraceSamples(("p", "q"), data, r)
     with pytest.raises(ValueError, match="100 replicates"):
         mixed_third_cumulant(samples, "p", "q")
 
@@ -164,7 +164,7 @@ def test_batch_se_matches_explicit_batches(r):
     rng = np.random.default_rng(r)
     zp = rng.standard_normal(r) + 1j * rng.standard_normal(r)
     zq = rng.exponential(1.0, r) + 1j * rng.standard_normal(r)
-    samples = TraceSamples(("p", "q"), {"p": zp, "q": zq}, 0, r, 0, ())
+    samples = TraceSamples(("p", "q"), {"p": zp, "q": zq}, r)
 
     # covariance: the spread of explicit complex batch means
     prod = (zp - zp.mean()) * (zq - zq.mean())
@@ -195,7 +195,7 @@ def test_batch_se_matches_explicit_batches(r):
 
 
 def test_missing_monomial_raises():
-    samples = TraceSamples((), {}, 0, 2, 0, ())
+    samples = TraceSamples((), {}, 2)
     with pytest.raises(KeyError):
         samples.traces(parse_word("x1"))
 

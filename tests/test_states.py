@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerfluct.annular import AnnularPairing
+from wignerfluct.annular import AnnularPairing, enumerate_nc2, kreweras, through_cycles
 from wignerfluct.states import (
     DetFamily,
     FiniteNState,
@@ -262,6 +262,113 @@ def test_memoized_functionals_match_direct_traces(n, seed, p, q):
         assert abs(state.phi_hadamard(transposed(q), p) - want_had) < 1e-10
         assert abs(state.phi_transpose(p, q) - want_tr) < 1e-10
         assert abs(state.phi_transpose(q, p) - want_tr) < 1e-10
+
+
+def cyclic_min(key):
+    """One name per phi class: the least rotation of the factor tuple."""
+    return min((key[i:] + key[:i] for i in range(len(key))), default=key)
+
+
+def hadamard_class(kp, kq):
+    """One name per phi_hadamard class: each word up to transpose, unordered."""
+    def up_to_transpose(key):
+        return min(key, DetLetter(key).transpose().factors)
+
+    return frozenset([up_to_transpose(kp), up_to_transpose(kq)])
+
+
+def factor_key(letters):
+    return tuple(f for letter in letters for f in letter.factors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31), st.lists(WORDS, min_size=1, max_size=3))
+def test_memo_misses_once_per_class(seed, words):
+    fam = DetFamily([random_fixed(3, seed), random_fixed(3, seed + 1)])
+    state = FiniteNState(fam)
+    products = []
+    word_matrix = fam.word_matrix
+    fam.word_matrix = lambda letters: products.append(1) or word_matrix(letters)
+
+    # phi: every rotation of the factor tuple, fused letters split or not
+    classes = set()
+    for word in words:
+        key = factor_key(word)
+        value = state.phi(word)
+        for i in range(len(key)):
+            rotated = [DetLetter((f,)) for f in key[i:] + key[:i]]
+            assert state.phi(rotated) == value
+        if key:
+            classes.add(cyclic_min(key))
+    assert len(products) == len(classes)
+
+    # phi_hadamard: both transposes of each argument, in both orders
+    del products[:]
+    classes = set()
+    for p in words:
+        for q in words:
+            value = state.phi_hadamard(p, q)
+            for a in (p, transposed(p)):
+                for b in (q, transposed(q)):
+                    assert state.phi_hadamard(a, b) == value
+                    assert state.phi_hadamard(b, a) == value
+            classes.add(hadamard_class(factor_key(p), factor_key(q)))
+    assert len(products) == 2 * len(classes)  # p and q per miss
+
+
+class RecordingState(FiniteNState):
+    """A FiniteNState that logs the letters of each call."""
+
+    def __init__(self, family):
+        super().__init__(family)
+        self.calls = []
+
+    def phi(self, letters):
+        self.calls.append(("phi", tuple(letters)))
+        return super().phi(letters)
+
+    def phi_hadamard(self, letters_p, letters_q):
+        self.calls.append(("hadamard", tuple(letters_p), tuple(letters_q)))
+        return super().phi_hadamard(letters_p, letters_q)
+
+
+def phi_tilde_by_cycle_test(pairing, letters, state):
+    """eval_phi_tilde_K with its own through-cycle test on each Kreweras cycle."""
+    m = pairing.m
+    k = kreweras(pairing)
+    splits = iter(through_cycles(k, m, pairing.n))
+    out = 1.0 + 0.0j
+    for cyc in k.cycles:
+        # a cycle starts at its minimum: it is a through cycle iff that
+        # minimum is outer and its maximum inner; splits come in cycle order
+        if cyc[0] <= m < max(cyc):
+            outer, inner = next(splits)
+            out *= state.phi_hadamard(
+                [letters[i - 1] for i in outer], [letters[i - 1] for i in inner]
+            )
+        else:
+            out *= state.phi([letters[i - 1] for i in cyc])
+    return out
+
+
+def test_phi_tilde_matches_cycle_test_loop():
+    # a distinct letter per position, so each call names its positions
+    fam = DetFamily([random_fixed(2, seed) for seed in range(12)])
+    letters = [DetLetter.base(i) for i in range(12)]
+    got_state, want_state = RecordingState(fam), RecordingState(fam)
+    count = 0
+    for total in range(2, 13, 2):
+        for m in range(1, total):
+            for p in enumerate_nc2(m, total - m):
+                if p.through_count > 2:
+                    continue
+                word = letters[:total]
+                got = eval_phi_tilde_K(p, word, got_state)
+                assert got == phi_tilde_by_cycle_test(p, word, want_state)
+                assert got_state.calls == want_state.calls
+                got_state.calls, want_state.calls = [], []
+                count += 1
+    assert count == 5868
 
 
 def letter_zoo(n, seed):

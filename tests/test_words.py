@@ -91,6 +91,19 @@ def test_parse_errors():
         parse_word("x1t a0")
 
 
+@pytest.mark.parametrize("token", ["a1**", "a1*t*", "x1**"])
+def test_parse_rejects_two_stars(token):
+    # a1** means A and a1*t* means A^t: neither may be read as one star
+    with pytest.raises(ValueError, match="two stars"):
+        parse_word("x1 " + token)
+
+
+def test_parse_one_star_before_or_after_t():
+    for token in ("a1*t", "a1t*"):
+        ((_, letter),) = parse_word("x1 " + token).pairs
+        assert letter.factors == ((1, True, True),)
+
+
 def test_polynomial_merging():
     p = parse_word("x1 a0")
     q = parse_word("x1 a1")
