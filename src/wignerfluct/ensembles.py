@@ -14,6 +14,7 @@ enough to hit any admissible (theta, eta, k4) with theta in [-1, 1].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,16 +220,30 @@ def is_real_law(law):
     return law.kind == "uv_discrete" and law.v.variance == 0
 
 
+@functools.lru_cache(maxsize=8)
+def _hermitian_layout(n):
+    """Flat positions of the strict upper triangle, its mirror and the diagonal.
+
+    Read-only, cached per N: the sampler scatters into them on every call.
+    """
+    i, j = np.triu_indices(n, k=1)
+    layout = (i * n + j, j * n + i, np.arange(n) * (n + 1))
+    for pos in layout:
+        pos.setflags(write=False)
+    return layout
+
+
 def sample_wigner(n, law, seed_key):
     """One Hermitian sample X/sqrt(N) of the given N x N ensemble.
 
     ``seed_key`` is an integer tuple; equal keys give bit-identical samples.
     Real-valued laws return a float array (symmetric), which speeds up the
-    downstream matrix products.
+    downstream matrix products.  The scaled draws are written straight into
+    their upper, lower and diagonal positions.
     """
     rng = make_rng(seed_key)
-    iu = np.triu_indices(n, k=1)
-    k = iu[0].size
+    upper, lower, diagonal = _hermitian_layout(n)
+    k = upper.size
     real = is_real_law(law)
     if law.kind == "gaussian_complex":
         off = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2)
@@ -241,8 +256,17 @@ def sample_wigner(n, law, seed_key):
         if not real:
             off = off + 1j * law.v.sample(rng, k)
         diag = law.diag.sample(rng, n)
-    x = np.zeros((n, n), dtype=float if real else complex)
-    x[iu] = off
-    x = x + x.conj().T
-    x[np.diag_indices(n)] = diag
-    return x / math.sqrt(n)
+    dtype = float if real else complex
+    scale = math.sqrt(n)
+    zero = np.zeros(1, dtype=dtype)
+    x = np.empty((n, n), dtype=dtype)
+    flat = x.reshape(-1)
+    # entry by entry the same operations as summing X + X^H and dividing
+    # the matrix, so that the bytes do not depend on the layout: the upper
+    # triangle gains conj(0) and the lower 0, which fixes the signs of zero
+    # parts, and a complex array over a real scalar is a complex division,
+    # so the diagonal is cast before it is divided
+    flat[upper] = (off + zero.conj()) / scale
+    flat[lower] = (off.conj() + zero) / scale
+    flat[diagonal] = diag.astype(dtype) / scale
+    return x

@@ -111,14 +111,17 @@ class DetFamily:
         return got
 
     def times(self, mat, letter):
-        """``mat @ A_letter``; the identity letter returns ``mat`` itself."""
+        """``mat @ A_letter``; the identity letter returns ``mat`` itself.
+
+        ``mat`` may be a (b, N, N) stack, multiplied slice by slice.
+        """
         if letter.is_identity:
             return mat
         op = self.operand(letter)
         if not isinstance(op, tuple):
             return mat @ op
         rows, weights = op
-        out = mat.take(rows, axis=1)
+        out = mat.take(rows, axis=-1)
         if out.dtype.kind == "f" and weights.dtype.kind == "c":
             return out * weights  # a real gather cannot hold complex weights
         out *= weights  # in place: one N x N buffer, not two

@@ -210,6 +210,52 @@ def test_sample_wigner_golden_hash():
     assert h.hexdigest() == DRAWS_SHA256
 
 
+def sample_wigner_reference(n, law, seed_key):
+    """The sampler before its cached layout: scatter, X + X^H, divide."""
+    rng = make_rng(seed_key)
+    iu = np.triu_indices(n, k=1)
+    k = iu[0].size
+    real = is_real_law(law)
+    if law.kind == "gaussian_complex":
+        off = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2)
+        diag = rng.standard_normal(n) * math.sqrt(float(law.diag_variance))
+    elif law.kind == "gaussian_real":
+        off = rng.standard_normal(k)
+        diag = rng.standard_normal(n) * math.sqrt(float(law.diag_variance))
+    else:
+        off = law.u.sample(rng, k)
+        if not real:
+            off = off + 1j * law.v.sample(rng, k)
+        diag = law.diag.sample(rng, n)
+    x = np.zeros((n, n), dtype=float if real else complex)
+    x[iu] = off
+    x = x + x.conj().T
+    x[np.diag_indices(n)] = diag
+    return x / math.sqrt(n)
+
+
+def test_sample_wigner_bytes_match_reference():
+    laws = [PRESETS[name]() for name in sorted(PRESETS)] + [
+        # both solved laws put zero atoms in v; the second has a zero diagonal
+        solve_law(Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)),
+        solve_law(Fraction(-1, 2), Fraction(0), Fraction(3)),
+        # atoms of size 0 in u draw -0.0, whose sign the old sum X + X^H fixed
+        EntryLaw(
+            "uv_discrete",
+            u=SymmetricDiscreteLaw(Fraction(0), Fraction(1, 2)),
+            v=SymmetricDiscreteLaw(Fraction(2), Fraction(1, 4)),
+            diag=SymmetricDiscreteLaw(Fraction(0), Fraction(1, 2)),
+        ),
+    ]
+    for law in laws:
+        for n in (1, 2, 3, 8, 33):
+            for rep in range(3):
+                got = sample_wigner(n, law, (6, 1, rep))
+                want = sample_wigner_reference(n, law, (6, 1, rep))
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (law, n, rep)
+
+
 def test_sample_wigner_second_moment():
     # E[Tr X^2] = N - 1 + eta for any unit-variance law
     for law, eta in [(gue_law(), 1.0), (goe_law(), 2.0), (rademacher_law(), 1.0)]:

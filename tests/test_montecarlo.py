@@ -1,7 +1,14 @@
+import functools
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wignerfluct.ensembles import goe_law, gue_law, rademacher_law
+from wignerfluct import montecarlo
+from wignerfluct.ensembles import goe_law, gue_law, rademacher_law, sample_wigner, solve_law
 from wignerfluct.montecarlo import (
     DEFAULT_BATCHES,
     TraceSamples,
@@ -13,8 +20,8 @@ from wignerfluct.montecarlo import (
     mixed_third_cumulant,
     run_traces,
 )
-from wignerfluct.states import DetFamily, circulant, diagonal_pattern
-from wignerfluct.words import parse_word
+from wignerfluct.states import DetFamily, circulant, diagonal_pattern, random_fixed
+from wignerfluct.words import DetLetter, Monomial, parse_word
 
 
 def family(n):
@@ -45,8 +52,6 @@ def test_run_traces_reproducible():
 def test_run_traces_trace_values_match_direct_product():
     # cross-check the cached fast path against a plain matrix product, for
     # complex and real X and for a one-pair word
-    from wignerfluct.ensembles import sample_wigner
-
     n = 7
     fam = family(n)
     words = [parse_word("x1 a0 x1 a1"), parse_word("x1 a1")]
@@ -60,6 +65,97 @@ def test_run_traces_trace_values_match_direct_product():
                     want = want @ x @ fam.letter_matrix(letter)
                 got = samples.traces(p)[rep]
                 assert got == pytest.approx(np.trace(want), rel=1e-12, abs=1e-12)
+
+
+def _trace_word_reference(mono, xmats, family, cache):
+    """One replicate's trace of a word on N x N draws, as before blocks."""
+    mats = []
+    for key in mono.pairs:
+        got = cache.get(key)
+        if got is None:
+            got = cache[key] = family.times(xmats[key[0]], key[1])
+        mats.append(got)
+    if len(mats) == 1:
+        return complex(mats[0].trace())
+    p = functools.reduce(np.matmul, mats[1:-1], mats[0])
+    return complex(np.sum(p * mats[-1].T))
+
+
+def run_traces_reference(words, n, r, ensembles, family, master_seed):
+    """The per-replicate loop of run_traces before blocks: {word: traces}."""
+    wids = sorted({w for mono in words for w in mono.wigner_labels})
+    data = {mono: np.empty(r, dtype=complex) for mono in words}
+    for rep in range(r):
+        cache = {}
+        xmats = {
+            wid: sample_wigner(n, ensembles[wid], (master_seed, k, rep))
+            for k, wid in enumerate(wids)
+        }
+        for mono in words:
+            data[mono][rep] = _trace_word_reference(mono, xmats, family, cache)
+    return data
+
+
+def letter_family(n, seed):
+    """Identity, diagonal, cyclic shift and a dense complex matrix."""
+    shift = np.roll(np.eye(n), 1, axis=1)
+    return DetFamily([np.eye(n), diagonal_pattern(n, [1, -0.5, 2]), shift, random_fixed(n, seed)])
+
+
+MC_LAWS = [gue_law(), goe_law(), rademacher_law(), solve_law(Fraction(1, 3), 1, Fraction(1, 2))]
+# up to two flagged factors: the identity, base, starred, transposed and fused letters
+MC_LETTERS = st.lists(
+    st.tuples(st.integers(0, 3), st.booleans(), st.booleans()), max_size=2
+).map(lambda factors: DetLetter(tuple(factors)))
+MC_WORDS = st.lists(
+    st.lists(st.tuples(st.sampled_from(["1", "2"]), MC_LETTERS), min_size=1, max_size=4)
+    .map(lambda pairs: Monomial(tuple(pairs))),
+    min_size=1, max_size=3, unique=True,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 8]),
+    st.sampled_from(MC_LAWS),
+    st.sampled_from(MC_LAWS),
+    MC_WORDS,
+    st.integers(2, 5),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_blocked_run_traces_match_per_replicate_loop(n, law1, law2, words, block, whole, data):
+    # R is not a multiple of the block, so the last block is short
+    r = whole * block + data.draw(st.integers(1, block - 1))
+    if r < 2:
+        r += block
+    fam = letter_family(n, 5)
+    laws = {"1": law1, "2": law2}
+    with mock.patch.object(montecarlo, "BLOCK_ELEMS", block * n * n):
+        got = run_traces(words, n, r, laws, fam, 11)
+    want = run_traces_reference(words, n, r, laws, fam, 11)
+    for mono in words:
+        np.testing.assert_allclose(got.traces(mono), want[mono], rtol=1e-12, atol=1e-12)
+
+
+def test_run_traces_bit_identical_across_block_sizes(monkeypatch):
+    n, r = 8, 37
+    fam = letter_family(n, 3)
+    texts = ("x1 a3", "x1 a1 x2 a2", "x2 a3 x1 a2* x1 a1 a3t", "x2 x2 x2 x2")
+    words = [parse_word(w) for w in texts]
+    laws = {"1": goe_law(), "2": solve_law(Fraction(-1, 2), 2, 1)}
+    runs = []
+    # one replicate, a size that does not divide R, and one block of all R
+    for block in (1, 5, 64):
+        monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", block * n * n)
+        runs.append(run_traces(words, n, r, laws, fam, 4))
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", 1)
+    short = run_traces(words, n, 10, laws, fam, 4)
+    for mono in words:
+        for other in runs[1:]:
+            np.testing.assert_array_equal(other.traces(mono), runs[0].traces(mono))
+        # replicate i is keyed by i alone, whatever R is
+        np.testing.assert_array_equal(short.traces(mono), runs[0].traces(mono)[:10])
 
 
 def test_degree_zero_monomial_constant():

@@ -416,16 +416,39 @@ def test_times_matches_dense_products(n, seed, pairs):
         want = want @ fam.letter_matrix(letter)
     np.testing.assert_allclose(fam.word_matrix(letters), want, rtol=1e-12, atol=1e-12)
 
+    # a block of two replicates per Wigner id
     xmats = {
-        "goe": sample_wigner(n, goe_law(), (seed, 0, 0)),
-        "gue": sample_wigner(n, gue_law(), (seed, 1, 0)),
+        "goe": np.stack([sample_wigner(n, goe_law(), (seed, 0, rep)) for rep in range(2)]),
+        "gue": np.stack([sample_wigner(n, gue_law(), (seed, 1, rep)) for rep in range(2)]),
     }
-    want = np.eye(n, dtype=complex)
-    for wid, letter in pairs:
-        want = want @ xmats[wid] @ fam.letter_matrix(letter)
     mono = Monomial(tuple(pairs))
     cache = {}
-    # the second pass reads every factor from the per-replicate cache
+    # the second pass reads every factor from the per-block cache
     for _ in range(2):
         got = _trace_word(mono, xmats, fam, cache)
-        assert abs(got - np.trace(want)) <= 1e-12 * max(1.0, abs(np.trace(want)))
+        assert got.shape == (2,)
+        for rep in range(2):
+            want = np.eye(n, dtype=complex)
+            for wid, letter in pairs:
+                want = want @ xmats[wid][rep] @ fam.letter_matrix(letter)
+            assert abs(got[rep] - np.trace(want)) <= 1e-12 * max(1.0, abs(np.trace(want)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 2**31), st.integers(1, 4), ZOO_LETTERS)
+def test_times_on_a_stack_matches_each_slice(n, seed, b, fused):
+    from wignerfluct.ensembles import goe_law, gue_law, sample_wigner
+
+    fam = letter_zoo(n, seed)
+    # every zoo matrix alone: gathers (diagonal, projection, shift), dense
+    # letters, and a permutation with complex weights, which the real GOE
+    # stack gathers into a complex result
+    letters = [DetLetter.base(j) for j in range(8)] + [fused]
+    for k, law in enumerate((goe_law(), gue_law())):
+        stack = np.stack([sample_wigner(n, law, (seed, k, rep)) for rep in range(b)])
+        for letter in letters:
+            got = fam.times(stack, letter)
+            for rep in range(b):
+                want = fam.times(stack[rep], letter)
+                assert got[rep].dtype == want.dtype
+                assert got[rep].tobytes() == want.tobytes(), (letter, rep)
