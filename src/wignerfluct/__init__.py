@@ -17,7 +17,6 @@ from .annular import (
     is_annular_noncrossing_recursive,
     is_non_mixing,
     kreweras,
-    through_cycles,
 )
 from .covariance import (
     GOE,

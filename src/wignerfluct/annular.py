@@ -4,7 +4,7 @@ Positions are 1-based: 1..m sit on the outer circle, m+1..m+n on the inner
 circle.  A pairing is stored as a fixed-point-free involution ``match`` with
 ``match[i] = j`` iff {i, j} is a pair (index 0 of the array is unused).
 Every permutation is such a point-map tuple; ``CyclePermutation`` only wraps
-one for the public return values of ``gamma`` and the Kreweras maps.
+one for the public return values of ``gamma`` and ``kreweras``.
 
 The pairings are built, not searched for (Mingo-Nica, IMRN 2004).  One
 with l >= 1 through strings puts l spoke endpoints on each circle, leaves
@@ -373,17 +373,6 @@ def kreweras(pairing):
     return CyclePermutation(pairing.size, mapping)
 
 
-def through_cycles(kperm, m, n):
-    """Cycles of K(sigma) meeting both circles, split as (outer part, inner part).
-
-    Each through cycle of a Kreweras complement of an annular non-crossing
-    pairing consists of a contiguous run of outer positions followed by a
-    contiguous run of inner positions (up to rotation of the cycle).
-    """
-    splits = (_through_split(cyc, m) for cyc in kperm.cycles)
-    return [s for s in splits if s is not None]
-
-
 def _through_split(cyc, m):
     """(outer arc, inner arc) of a cycle meeting both circles, else None."""
     # a cycle starts at its minimum: it meets both circles iff that minimum
@@ -430,8 +419,3 @@ def enumerate_nc2_disc(k):
     if k > DEFAULT_SIZE_LIMIT:
         raise ValueError("k=%d exceeds enumeration cap %d" % (k, DEFAULT_SIZE_LIMIT))
     return list(_enumerate_nc2_disc_cached(k))
-
-
-def disc_kreweras(match, k):
-    """Kreweras complement on the disc: i -> sigma(i+1) with gamma = (1..k)."""
-    return CyclePermutation(k, _kreweras_map(match, (k,)))

@@ -4,16 +4,19 @@ Each replicate draws one matrix per Wigner id (shared across all monomials
 of the replicate, so joint covariances are meaningful) and records the
 traces.  Replicates run in blocks of about BLOCK_ELEMS matrix entries: the
 draws of a block, each from its own (seed, ensemble, replicate) stream, are
-stacked into (b, N, N) arrays, and the factors X_w A of a word are
-``DetFamily.times`` products on the stacks, shared across the monomials of
-the block.  For N > 90 a block is one replicate.  Covariances are computed
-without conjugation on the second factor, matching the limiting bilinear
-form; standard errors use batch means.
+stacked into (b, N, N) arrays; for N > 90 a block is one replicate, a view
+of its draw.  The trace of a word of k >= 2 factors X_w A is one
+contraction of two half-products, the first ceil(k/2) factors and the
+rest.  Each half is split the same way and cached for the block on its
+factor tuple, so equal halves and the halves that words share are
+computed once, and a single factor is one ``DetFamily.times`` product.  A
+one-factor word contracts X against its letter without forming X A.
+Covariances are computed without conjugation on the second factor,
+matching the limiting bilinear form; standard errors use batch means.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,24 +46,65 @@ class TraceSamples:
             raise KeyError("no trace samples recorded for %s" % (mono,))
 
 
+def _product(pairs, xmats, family, cache):
+    """The (b, N, N) product of the factors X_w A of ``pairs``, cached for the block.
+
+    One factor is ``family.times(X_w, A)``.  More are the product of the
+    first ceil(k/2) factors and the rest, each found the same way.
+    """
+    got = cache.get(pairs)
+    if got is None:
+        if len(pairs) == 1:
+            (wid, letter), = pairs
+            got = family.times(xmats[wid], letter)
+        else:
+            h = (len(pairs) + 1) // 2
+            left = _product(pairs[:h], xmats, family, cache)
+            square = len(pairs) == 2 and pairs[0] == pairs[1] and pairs[0][1].is_identity
+            if square and left.dtype.kind == "f":
+                # X X of a real draw, which is symmetric bit for bit: numpy
+                # computes X X^T as a symmetric rank-k update
+                right = left.transpose(0, 2, 1)
+            else:
+                right = _product(pairs[h:], xmats, family, cache)
+            got = np.matmul(left, right)
+        cache[pairs] = got
+    return got
+
+
 def _trace_word(mono, xmats, family, cache):
     """Traces of the alternating word X_w1 A_1 ... X_wk A_k over a block.
 
-    ``xmats`` maps Wigner ids to (b, N, N) stacks of draws.  Each factor
-    X_w A is ``family.times(X_w, A)``, cached for the block on (w, A); the
-    last factor enters through a contraction, not a product.  Returns the
-    b traces.
+    ``xmats`` maps Wigner ids to (b, N, N) stacks of draws, and ``cache``
+    holds the block's products (see ``_product``).  Returns the b traces.
     """
-    mats = []
-    for key in mono.pairs:
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = family.times(xmats[key[0]], key[1])
-        mats.append(got)
-    if len(mats) == 1:
-        return np.trace(mats[0], axis1=1, axis2=2)
-    p = functools.reduce(np.matmul, mats[1:-1], mats[0])
-    return np.einsum("bij,bji->b", p, mats[-1])
+    pairs = mono.pairs
+    if len(pairs) > 1:
+        h = (len(pairs) + 1) // 2
+        return np.einsum(
+            "bij,bji->b",
+            _product(pairs[:h], xmats, family, cache),
+            _product(pairs[h:], xmats, family, cache),
+        )
+    (wid, letter), = pairs
+    x = xmats[wid]
+    if letter.is_identity:
+        return np.trace(x, axis1=1, axis2=2)
+    op = family.operand(letter)
+    if isinstance(op, tuple):
+        # Tr(X A) = sum_j X[j, rows[j]] weights[j]
+        rows, weights = op
+        return (x[:, np.arange(family.N), rows] * weights).sum(axis=-1)
+    return np.einsum("bij,ji->b", x, op)
+
+
+def _draws(n, law, master_seed, k, reps):
+    """The (b, N, N) stack of the draws of ensemble k for replicates ``reps``.
+
+    One replicate (every N > 90) is a view of its draw, not a copy.
+    """
+    mats = [sample_wigner(n, law, (master_seed, k, rep)) for rep in reps]
+    return mats[0][None] if len(mats) == 1 else np.stack(mats)
 
 
 def run_traces(monomials, n, r, ensembles, family, master_seed):
@@ -92,15 +136,11 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
     block = max(1, BLOCK_ELEMS // (n * n))
     for start in range(0, r, block):
         stop = min(start + block, r)
-        # a new cache first: the last block's factors go before the draws
+        # the last block's factors and draws go before this block is drawn
         cache = {}
-        xmats = {
-            wid: np.stack([
-                sample_wigner(n, ensembles[wid], (master_seed, k, rep))
-                for rep in range(start, stop)
-            ])
-            for k, wid in enumerate(wids)
-        }
+        xmats = {}
+        for k, wid in enumerate(wids):
+            xmats[wid] = _draws(n, ensembles[wid], master_seed, k, range(start, stop))
         for mono in words:
             data[mono][start:stop] = _trace_word(mono, xmats, family, cache)
     return TraceSamples(monomials, data, r)

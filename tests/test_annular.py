@@ -10,7 +10,6 @@ from wignerfluct.annular import (
     _genus_zero,
     _involutions,
     _through_pairs,
-    disc_kreweras,
     enumerate_nc2,
     enumerate_nc2_disc,
     filter_by_through,
@@ -19,8 +18,9 @@ from wignerfluct.annular import (
     is_annular_noncrossing_recursive,
     is_non_mixing,
     kreweras,
-    through_cycles,
 )
+
+from kreweras_oracles import disc_kreweras, through_cycles
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wignerfluct.annular import _involutions, disc_kreweras
+from kreweras_oracles import disc_kreweras
+from wignerfluct.annular import _involutions
 from wignerfluct.covariance import (
     GOE,
     GUE,

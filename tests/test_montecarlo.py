@@ -107,11 +107,24 @@ MC_LAWS = [gue_law(), goe_law(), rademacher_law(), solve_law(Fraction(1, 3), 1, 
 MC_LETTERS = st.lists(
     st.tuples(st.integers(0, 3), st.booleans(), st.booleans()), max_size=2
 ).map(lambda factors: DetLetter(tuple(factors)))
-MC_WORDS = st.lists(
-    st.lists(st.tuples(st.sampled_from(["1", "2"]), MC_LETTERS), min_size=1, max_size=4)
-    .map(lambda pairs: Monomial(tuple(pairs))),
-    min_size=1, max_size=3, unique=True,
+MC_PAIRS = st.tuples(st.sampled_from(["1", "2"]), MC_LETTERS)
+# words of up to 6 pairs glued from a few shared pieces of up to 3 pairs, so
+# that halves repeat within a word and recur across the words of a block
+MC_WORDS = st.lists(st.lists(MC_PAIRS, min_size=1, max_size=3), min_size=1, max_size=3).flatmap(
+    lambda pieces: st.lists(
+        st.lists(st.sampled_from(pieces), min_size=1, max_size=2).map(
+            lambda chosen: Monomial(tuple(pair for piece in chosen for pair in piece))
+        ),
+        min_size=1, max_size=4, unique=True,
+    )
 )
+# in every example: one-pair words on the identity letter, the identity
+# matrix, the diagonal and shift gathers, starred and transposed gathers and
+# the dense letter; a square, fourth and sixth power; a long gather word
+FIXED_WORDS = tuple(parse_word(t) for t in (
+    "x1", "x2 a0", "x1 a1", "x2 a2", "x1 a2*", "x2 a1t", "x1 a3", "x2 a3*t",
+    "x1 x1", "x2 x2 x2 x2", "x1 x1 x1 x1 x1 x1", "x1 a2 x1 a2 x1 a2 x1 a2 x1 a2",
+))
 
 
 @settings(max_examples=80, deadline=None)
@@ -129,11 +142,78 @@ def test_blocked_run_traces_match_per_replicate_loop(n, law1, law2, words, block
     r = whole * block + data.draw(st.integers(1, block - 1))
     if r < 2:
         r += block
+    words = list(dict.fromkeys(words + list(FIXED_WORDS)))
     fam = letter_family(n, 5)
     laws = {"1": law1, "2": law2}
     with mock.patch.object(montecarlo, "BLOCK_ELEMS", block * n * n):
         got = run_traces(words, n, r, laws, fam, 11)
     want = run_traces_reference(words, n, r, laws, fam, 11)
+    for mono in words:
+        np.testing.assert_allclose(got.traces(mono), want[mono], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("texts, products", [
+    (["x1 x1"], 0),
+    (["x1 x1 x1 x1"], 1),
+    (["x1 x1 x1 x1 x1 x1"], 2),
+    # X X is built once and serves both words; the square needs no product
+    (["x1 x1", "x1 x1 x1 x1", "x1 x1 x1 x1 x1 x1"], 2),
+    # (X A)(X A) once for both halves; X A itself is a times product
+    (["x1 a3 x1 a3 x1 a3 x1 a3"], 1),
+    (["x1 a3", "x1 a1 x1 a2"], 0),
+])
+def test_products_per_block(monkeypatch, texts, products):
+    n, r, block = 6, 10, 4
+    words = [parse_word(t) for t in texts]
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", block * n * n)
+    with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
+        run_traces(words, n, r, {"1": gue_law()}, letter_family(n, 2), 8)
+    # three blocks: 4 + 4 + 2 replicates
+    assert matmul.call_count == 3 * products
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 8, 33, 120]),
+    st.sampled_from([goe_law(), rademacher_law(), solve_law(1, 0, 1)]),
+    st.integers(1, 3),
+    st.integers(0, 2**31),
+)
+def test_real_square_by_syrk_matches_gemm(n, law, b, seed):
+    # a real draw is symmetric bit for bit, so X X may be taken as X X^T
+    x = np.stack([sample_wigner(n, law, (seed, 0, rep)) for rep in range(b)])
+    assert x.dtype.kind == "f"
+    np.testing.assert_array_equal(x, x.transpose(0, 2, 1))
+    square = parse_word("x1 x1").pairs
+    with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
+        got = montecarlo._product(square, {"1": x}, letter_family(n, 0), {})
+    # one product, of the draw and a transposed view of it
+    (left, right), _ = matmul.call_args
+    assert matmul.call_count == 1 and left is x and right.base is x
+    np.testing.assert_allclose(got, x @ x, rtol=1e-12, atol=1e-12)
+
+
+N400_LAWS = {
+    "gue": gue_law(),
+    "goe": goe_law(),
+    "rademacher": rademacher_law(),
+    "designed": solve_law(Fraction(1, 2), Fraction(1), Fraction(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(N400_LAWS))
+@pytest.mark.parametrize("texts, seed", [
+    (("x1 a0", "x1 a1 x1 a1", "x2 a0"), 1234),  # criterion 7
+    (("x1 x1", "x1 x1 x1 x1"), 2718),  # criterion 11
+])
+def test_acceptance_words_at_n400_match_per_replicate_loop(texts, seed, name):
+    # the words, family and seeds of the acceptance runs, two replicates
+    n = 400
+    words = [parse_word(t) for t in texts]
+    fam = DetFamily([diagonal_pattern(n, [1, -1]), circulant(n, [0, 1])])
+    laws = {"1": N400_LAWS[name], "2": N400_LAWS[name]}
+    got = run_traces(words, n, 2, laws, fam, seed)
+    want = run_traces_reference(words, n, 2, laws, fam, seed)
     for mono in words:
         np.testing.assert_allclose(got.traces(mono), want[mono], rtol=1e-12, atol=1e-12)
 

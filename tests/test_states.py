@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerfluct.annular import AnnularPairing, enumerate_nc2, kreweras, through_cycles
+from kreweras_oracles import through_cycles
+from wignerfluct.annular import AnnularPairing, enumerate_nc2, kreweras
 from wignerfluct.states import (
     DetFamily,
     FiniteNState,
