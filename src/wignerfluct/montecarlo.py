@@ -10,7 +10,9 @@ contraction of two half-products, the first ceil(k/2) factors and the
 rest.  Each half is split the same way and cached for the block on its
 factor tuple, so equal halves and the halves that words share are
 computed once, and a single factor is one ``DetFamily.times`` product.  A
-one-factor word contracts X against its letter without forming X A.
+one-factor word on a letter with at most one nonzero per column, the
+identity among them, sums the entries of X that the letter picks, without
+forming X A.
 Covariances are computed without conjugation on the second factor,
 matching the limiting bilinear form; standard errors use batch means.
 """
@@ -59,15 +61,10 @@ def _product(pairs, xmats, family, cache):
             got = family.times(xmats[wid], letter)
         else:
             h = (len(pairs) + 1) // 2
-            left = _product(pairs[:h], xmats, family, cache)
-            square = len(pairs) == 2 and pairs[0] == pairs[1] and pairs[0][1].is_identity
-            if square and left.dtype.kind == "f":
-                # X X of a real draw, which is symmetric bit for bit: numpy
-                # computes X X^T as a symmetric rank-k update
-                right = left.transpose(0, 2, 1)
-            else:
-                right = _product(pairs[h:], xmats, family, cache)
-            got = np.matmul(left, right)
+            got = np.matmul(
+                _product(pairs[:h], xmats, family, cache),
+                _product(pairs[h:], xmats, family, cache),
+            )
         cache[pairs] = got
     return got
 
@@ -88,14 +85,12 @@ def _trace_word(mono, xmats, family, cache):
         )
     (wid, letter), = pairs
     x = xmats[wid]
-    if letter.is_identity:
-        return np.trace(x, axis1=1, axis2=2)
     op = family.operand(letter)
     if isinstance(op, tuple):
-        # Tr(X A) = sum_j X[j, rows[j]] weights[j]
+        # Tr(X A) = sum_j X[j, rows[j]] weights[j]; the identity is a gather too
         rows, weights = op
         return (x[:, np.arange(family.N), rows] * weights).sum(axis=-1)
-    return np.einsum("bij,ji->b", x, op)
+    return np.trace(family.times(x, letter), axis1=1, axis2=2)
 
 
 def _draws(n, law, master_seed, k, reps):

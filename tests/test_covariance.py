@@ -349,7 +349,7 @@ def test_evaluation_reads_pairing_tables(monkeypatch):
         return wrapper
 
     for mod in (annular, covariance, states):
-        for name in ("kreweras", "through_cycles", "disc_kreweras"):
+        for name in ("kreweras",):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, recording(name, getattr(mod, name)))
     annular._enumerate_nc2_cached.cache_clear()

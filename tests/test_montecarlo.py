@@ -160,7 +160,8 @@ def test_blocked_run_traces_match_per_replicate_loop(n, law1, law2, words, block
     (["x1 x1", "x1 x1 x1 x1", "x1 x1 x1 x1 x1 x1"], 2),
     # (X A)(X A) once for both halves; X A itself is a times product
     (["x1 a3 x1 a3 x1 a3 x1 a3"], 1),
-    (["x1 a3", "x1 a1 x1 a2"], 0),
+    # one- and two-pair words on gather letters, the identity among them
+    (["x1", "x1 a1", "x1 a2", "x1 a1 x1 a2"], 0),
 ])
 def test_products_per_block(monkeypatch, texts, products):
     n, r, block = 6, 10, 4
@@ -170,27 +171,6 @@ def test_products_per_block(monkeypatch, texts, products):
         run_traces(words, n, r, {"1": gue_law()}, letter_family(n, 2), 8)
     # three blocks: 4 + 4 + 2 replicates
     assert matmul.call_count == 3 * products
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from([1, 2, 3, 8, 33, 120]),
-    st.sampled_from([goe_law(), rademacher_law(), solve_law(1, 0, 1)]),
-    st.integers(1, 3),
-    st.integers(0, 2**31),
-)
-def test_real_square_by_syrk_matches_gemm(n, law, b, seed):
-    # a real draw is symmetric bit for bit, so X X may be taken as X X^T
-    x = np.stack([sample_wigner(n, law, (seed, 0, rep)) for rep in range(b)])
-    assert x.dtype.kind == "f"
-    np.testing.assert_array_equal(x, x.transpose(0, 2, 1))
-    square = parse_word("x1 x1").pairs
-    with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
-        got = montecarlo._product(square, {"1": x}, letter_family(n, 0), {})
-    # one product, of the draw and a transposed view of it
-    (left, right), _ = matmul.call_args
-    assert matmul.call_count == 1 and left is x and right.base is x
-    np.testing.assert_allclose(got, x @ x, rtol=1e-12, atol=1e-12)
 
 
 N400_LAWS = {
