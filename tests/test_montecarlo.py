@@ -156,6 +156,8 @@ def test_blocked_run_traces_match_per_replicate_loop(n, law1, law2, words, block
     (["x1 x1"], 0),
     (["x1 x1 x1 x1"], 1),
     (["x1 x1 x1 x1 x1 x1"], 2),
+    # X X, then (X X)(X X): equal halves at every level
+    (["x1 x1 x1 x1 x1 x1 x1 x1"], 2),
     # X X is built once and serves both words; the square needs no product
     (["x1 x1", "x1 x1 x1 x1", "x1 x1 x1 x1 x1 x1"], 2),
     # (X A)(X A) once for both halves; X A itself is a times product
