@@ -21,7 +21,10 @@ config hash that is invariant under key reordering.
 error and, when R >= 100, the order 2-4 cumulants of each word's trace.
 ``compare`` sets each pair's theory value against the Monte Carlo estimate
 and the exact oracle and prints no cumulants; ``report`` is ``compare``
-plus the cumulants of ``mc`` (an empty object when R < 100).
+plus the cumulants of ``mc`` (an empty object when R < 100).  These three
+need R >= 3: the batch-means standard error of two replicates is 0.
+``oracle --dump-partitions`` names each partition of the walk by its
+restricted growth string, such as ``0.1.1.0``.
 
 Exit codes: 0 ok, 1 discrepancy (compare and report), 2 config, input or
 resource error.
@@ -51,7 +54,7 @@ from .graphs import (
     exact_tau2,
     weighted_partitions,
 )
-from .montecarlo import empirical_cov, empirical_cumulants, run_traces
+from .montecarlo import MIN_COV_REPLICATES, empirical_cov, empirical_cumulants, run_traces
 from .states import FiniteNState, MatrixSpecError, family_from_json
 from .words import parse_word
 
@@ -310,17 +313,20 @@ def _cumulants(cfg, samples):
     }
 
 
-def _seed(args, cfg):
+def _mc_config(args):
+    """The config and seed of a Monte Carlo command, which needs R >= 3."""
+    cfg = parse_config(args.config)
+    if cfg.r < MIN_COV_REPLICATES:
+        _fail("/R", "Monte Carlo covariances need R >= %d" % MIN_COV_REPLICATES)
     if args.seed is None:
-        return cfg.seed
+        return cfg, cfg.seed
     if args.seed < 0:
         _fail("/seed", "--seed expects an integer >= 0")
-    return args.seed
+    return cfg, args.seed
 
 
 def cmd_mc(args):
-    cfg = parse_config(args.config)
-    seed = _seed(args, cfg)
+    cfg, seed = _mc_config(args)
     record = _base_record(cfg)
     record["mc"] = []
     for n in cfg.n_list:
@@ -373,11 +379,11 @@ def _oracle_rows(cfg, n, dump_path):
         if dump_path and p.degree and q.degree:
             # the dump rows are the terms of exact_tau2's walk
             joint = build_cycle_graph([p, q])
-            for pid, g, w2 in weighted_partitions(joint, cfg.laws, 2):
+            for rgs, g, w2 in weighted_partitions(joint, cfg.laws, 2):
                 rep = classify(g)
                 dump_rows.append(
                     [
-                        str(p), str(q), pid,
+                        str(p), str(q), ".".join(map(str, rgs)),
                         float(sum(c.q1 for c in rep.components)),
                         sum(c.q2 for c in rep.components),
                         float(sum(c.q2p for c in rep.components)),
@@ -405,8 +411,7 @@ def cmd_oracle(args):
 
 def cmd_compare(args, with_cumulants=False):
     """compare (and, with cumulants, report): theory against MC and the oracle."""
-    cfg = parse_config(args.config)
-    seed = _seed(args, cfg)
+    cfg, seed = _mc_config(args)
     started = time.time()
     record = _base_record(cfg)
     runs = []

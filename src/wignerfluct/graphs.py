@@ -8,13 +8,16 @@ Wigner part (mixed entry moments, grouped by identified vertex pairs) and
 a deterministic part (injective graph trace).  The covariance is one walk
 over the joint graph of both words with the centered (order-2) weight,
 E[Tr P Tr Q] - E[Tr P] E[Tr Q] partition by partition; a degree-0 word
-gives 0.  ``weighted_partitions`` yields the walk's nonzero terms, which
-are also the rows of ``oracle --dump-partitions``.  The entry laws are
-symmetric, so only the partitions whose X-edge groups all have even size
-are visited (``even_partitions``); the caps on the vertex count and on N
-are those of a full walk.  The topological helpers (bridges,
-two-edge-connected forests, graphs of deterministic components) classify
-which partitions survive as N grows.
+gives 0.  ``weighted_partitions`` yields the walk's nonzero terms, each
+named by its restricted growth string, and these are also the rows of
+``oracle --dump-partitions``.  The entry laws are symmetric, so only the
+partitions whose X-edge groups all have even size are visited
+(``even_partitions``); the caps on the vertex count and on N are those of
+a full walk.  An injective trace is a Moebius sum over the partitions of
+its A-support, and each term contracts the relabelled A-edges, given as
+(src, trg, letter) triples, with one einsum per component.  The
+topological helpers (bridges, two-edge-connected forests, graphs of
+deterministic components) classify which partitions survive as N grows.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,32 +98,19 @@ def set_partitions(items):
     yield from rec(1, [[items[0]]])
 
 
-@lru_cache(maxsize=None)
-def _completions(n):
-    """T[r][k]: set partitions of r more items added to k existing blocks.
-
-    T[0][k] = 1 and T[r][k] = k T[r-1][k] + T[r-1][k+1] (join one of the k
-    blocks or open a new one); T[n][0] is the Bell number of n.  Entries
-    with r + k <= n, all that a walk over n items reads, are exact.
-    """
-    table = [[1] * (n + 2)]
-    for _ in range(n):
-        prev = table[-1]
-        table.append([k * prev[k] + prev[k + 1] for k in range(n + 1)] + [0])
-    return table
-
-
 def even_partitions(graph):
-    """Vertex partitions whose X-edge groups all have even size, with their rank.
+    """Vertex partitions whose X-edge groups all have even size, with their RGS.
 
-    Yields ``(rank, partition)`` where ``partition`` is the entry at index
-    ``rank`` of ``set_partitions(graph.vertices)``.  Every entry skipped has
+    Yields ``(rgs, partition)``: ``rgs`` is the restricted growth string of
+    the partition, the block index of each vertex in ``graph.vertices``
+    order, and ``partition`` lists the blocks in first-occurrence order.
+    The walk runs in lexicographic RGS order, which is the order of
+    ``set_partitions(graph.vertices)``, and skips exactly the entries with
     an X-edge group (the X-edges on one unordered pair of blocks with one
-    Wigner id) of odd size.  The walk follows the restricted growth strings
-    of ``set_partitions`` and resolves an X-edge when its later endpoint is
-    placed.  A branch is cut as soon as, for some Wigner id, the odd groups
-    outnumber the unresolved edges, since each remaining edge lands in one
-    group.  The completions of a cut branch still count towards ``rank``.
+    Wigner id) of odd size.  An X-edge is resolved when its later endpoint
+    is placed.  A branch is cut as soon as, for some Wigner id, the odd
+    groups outnumber the unresolved edges, since each remaining edge lands
+    in one group.
     """
     verts = graph.vertices
     n = len(verts)
@@ -140,12 +129,10 @@ def even_partitions(graph):
         resolved_at[hi].append((lo, w))
     if any(c % 2 for c in unresolved):
         return
-    completions = _completions(n)
     odd = [0] * len(unresolved)
     odd_groups = set()  # (block, block, id) of the groups of odd size so far
     block_of = [0] * n
     blocks = []
-    rank = 0
 
     def toggle(i, step):
         # moves the edges resolved at i into (step -1) or out of (+1) their
@@ -163,10 +150,8 @@ def even_partitions(graph):
             unresolved[w] += step
 
     def rec(i):
-        nonlocal rank
         if i == n:
-            yield rank, tuple(tuple(blk) for blk in blocks)
-            rank += 1
+            yield tuple(block_of), tuple(tuple(blk) for blk in blocks)
             return
         v = verts[i]
         for b in range(len(blocks) + 1):
@@ -176,9 +161,7 @@ def even_partitions(graph):
                 blocks[b].append(v)
             block_of[i] = b
             toggle(i, -1)
-            if any(o > u for o, u in zip(odd, unresolved)):
-                rank += completions[n - 1 - i][len(blocks)]
-            else:
+            if all(o <= u for o, u in zip(odd, unresolved)):
                 yield from rec(i + 1)
             toggle(i, 1)
             blocks[b].pop()
@@ -321,7 +304,6 @@ class ComponentReport:
     q2p: Fraction
     x_multiplicities: tuple
     kind: str  # double_tree | double_unicyclic | two_four_tree | other
-    has_multiplicity_one: bool
 
     @property
     def q(self):
@@ -377,8 +359,7 @@ def classify(graph):
         nbar = len(groups) + len(qverts)
         is_tree = len(gcomp) - nbar == 1
         is_unicyclic = len(gcomp) == nbar
-        has_one = any(m == 1 for m in mults)
-        if has_one:
+        if 1 in mults:
             kind = "other"
         elif all(m == 2 for m in mults) and is_tree:
             kind = "double_tree"
@@ -388,9 +369,7 @@ def classify(graph):
             kind = "two_four_tree"
         else:
             kind = "other"
-        reports.append(
-            ComponentReport(qverts, q1, q2, q2p, mults, kind, has_one)
-        )
+        reports.append(ComponentReport(qverts, q1, q2, q2p, mults, kind))
     m_x = sum(1 for e in graph.edges if e.kind == "x")
     return TopoReport(tuple(reports), m_x, leaves_count(graph))
 
@@ -431,59 +410,53 @@ def _r_expect(x_edges, laws):
 def omega_X(graph, laws, order=1):
     """Wigner weight of a quotient graph, exact.
 
-    Order 1 is the plain expectation of the entry product.  Order 2 is the
-    alternating sum over subsets J of the trace cycles that implements the
-    centering of each trace.
+    Order 1 is the plain expectation of the entry product.  Order 2 needs a
+    graph of two trace cycles and centers both traces: E[all X-entries] -
+    E[cycle 0's entries] E[cycle 1's entries], the two-cycle case of the
+    alternating sum over subsets of cycles.
     """
     x_edges = [e for e in graph.edges if e.kind == "x"]
     if order == 1:
         return _r_expect(x_edges, laws)
     if order != 2:
         raise ValueError("order must be 1 or 2")
-    n = graph.n_cycles
-    by_cycle = {j: [e for e in x_edges if e.cycle == j] for j in range(n)}
-    singles = {j: _r_expect(by_cycle[j], laws) for j in range(n)}
-    total = Fraction(0)
-    for mask in range(1 << n):
-        inside = [j for j in range(n) if mask >> j & 1]
-        outside = [j for j in range(n) if not mask >> j & 1]
-        term = _r_expect([e for j in inside for e in by_cycle[j]], laws)
-        if term == 0:
-            continue
-        for j in outside:
-            term *= singles[j]
-            if term == 0:
-                break
-        if term:
-            total += (-1) ** len(outside) * term
-    return total
+    if graph.n_cycles != 2:
+        raise ValueError("the order-2 weight needs a graph of two cycles")
+    first, second = (
+        _r_expect([e for e in x_edges if e.cycle == j], laws) for j in (0, 1)
+    )
+    return _r_expect(x_edges, laws) - first * second
 
 
 # ---------------------------------------------------------------------------
 # traces of A-graphs
 
 
-def _einsum_component_trace(comp, a_edges, family):
-    idx = {v: i for i, v in enumerate(sorted(comp, key=repr))}
-    operands = []
-    for e in a_edges:
-        operands.append(family.letter_matrix(e.label))
-        operands.append([idx[e.trg], idx[e.src]])
-    operands.append([])
-    return complex(np.einsum(*operands))
+def _a_triples(graph):
+    return [(e.src, e.trg, e.label) for e in graph.edges if e.kind == "a"]
+
+
+def _triples_trace(vertices, triples, family):
+    """Sum over all labelings of the vertices of the A-entry product.
+
+    Each ``(src, trg, letter)`` triple contributes the letter's entry
+    [trg, src]; one einsum contracts each connected component, and a vertex
+    without A-edges counts N labels.
+    """
+    total = 1.0 + 0.0j
+    for comp in _components(vertices, [(s, t) for s, t, _ in triples]):
+        idx = {v: i for i, v in enumerate(sorted(comp, key=repr))}
+        operands = []
+        for s, t, letter in triples:
+            if s in comp:
+                operands += [family.letter_matrix(letter), [idx[t], idx[s]]]
+        total *= complex(np.einsum(*operands, [])) if operands else family.N
+    return total
 
 
 def graph_trace(graph, family):
     """Unrestricted trace: sum over all vertex labelings of the A-entry product."""
-    a_edges = [e for e in graph.edges if e.kind == "a"]
-    total = 1.0 + 0.0j
-    for comp in _components(graph.vertices, [(e.src, e.trg) for e in a_edges]):
-        es = [e for e in a_edges if e.src in comp]
-        if not es:
-            total *= family.N
-        else:
-            total *= _einsum_component_trace(comp, es, family)
-    return total
+    return _triples_trace(graph.vertices, _a_triples(graph), family)
 
 
 def _mobius(part):
@@ -493,13 +466,12 @@ def _mobius(part):
     return out
 
 
-def _support_injective_trace(support, a_edges, family):
+def _support_injective_trace(support, triples, family):
     total = []
     for part in set_partitions(sorted(support, key=repr)):
         vmap = {v: i for i, b in enumerate(part) for v in b}
-        qedges = [Edge(vmap[e.src], vmap[e.trg], "a", e.label, e.cycle) for e in a_edges]
-        g = LabeledGraph(tuple(range(len(part))), tuple(qedges), 0)
-        total.append(_mobius(part) * graph_trace(g, family))
+        relabelled = [(vmap[s], vmap[t], letter) for s, t, letter in triples]
+        total.append(_mobius(part) * _triples_trace(range(len(part)), relabelled, family))
     return complex(
         math.fsum(t.real for t in total), math.fsum(t.imag for t in total)
     )
@@ -516,9 +488,9 @@ def injective_trace(graph, family):
     nverts = len(set(graph.vertices))
     if nverts > n:
         return 0.0 + 0.0j
-    a_edges = [e for e in graph.edges if e.kind == "a"]
-    support = {e.src for e in a_edges} | {e.trg for e in a_edges}
-    base = _support_injective_trace(support, a_edges, family) if support else 1.0
+    triples = _a_triples(graph)
+    support = {v for s, t, _ in triples for v in (s, t)}
+    base = _support_injective_trace(support, triples, family) if support else 1.0
     return base * math.perm(n - len(support), nverts - len(support))
 
 
@@ -530,9 +502,11 @@ EXACT_N_CAP = 16
 
 
 def weighted_partitions(graph, laws, order):
-    """The nonzero terms of the partition sum: ``(rank, quotient, weight)``.
+    """The nonzero terms of the partition sum: ``(rgs, quotient, weight)``.
 
-    ``weight`` is ``omega_X(quotient, laws, order)``.  Every law here is
+    ``rgs`` is the partition's restricted growth string from
+    ``even_partitions`` and ``weight`` is ``omega_X(quotient, laws,
+    order)``; the terms come in ``set_partitions`` order.  Every law here is
     symmetric: entry_moment(law, p, q) = 0 for odd p + q and
     diagonal_moment(law, k) = 0 for odd k.  So a partition with an X-edge
     group of odd size has weight 0 at order 1, and at order 2 as well: a
@@ -547,11 +521,11 @@ def weighted_partitions(graph, laws, order):
             "graph has %d vertices, above the partition cap %d"
             % (nverts, PARTITION_VERTEX_CAP)
         )
-    for rank, part in even_partitions(graph):
+    for rgs, part in even_partitions(graph):
         q = quotient(graph, part)
         weight = omega_X(q, laws, order)
         if weight != 0:
-            yield rank, q, weight
+            yield rgs, q, weight
 
 
 def _partition_sum(graph, family, laws, order):

@@ -26,6 +26,9 @@ import numpy as np
 from .ensembles import sample_wigner
 
 DEFAULT_BATCHES = 40
+# replicates empirical_cov needs: with two, both centered products are
+# equal, so the batch-means standard error is 0 whatever the data
+MIN_COV_REPLICATES = 3
 # matrix entries per Wigner id in one block of replicates: enough to take
 # the per-replicate Python overhead off small N, small enough to leave peak
 # memory alone (one block of all R = 4000 at N = 8, 2**18 entries, raised
@@ -166,8 +169,8 @@ def empirical_cov(samples, p, q):
     zp = samples.traces(p)
     zq = samples.traces(q)
     r = samples.R
-    if r < 2:
-        raise ValueError("need at least 2 replicates")
+    if r < MIN_COV_REPLICATES:
+        raise ValueError("need at least %d replicates" % MIN_COV_REPLICATES)
     cp = zp - zp.mean()
     cq = zq - zq.mean()
     prod = cp * cq

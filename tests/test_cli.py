@@ -264,10 +264,12 @@ def test_oracle_dump_matches_full_walk(tmp_path):
     want = []
     for p, q in doc["pairs"]:
         joint = build_cycle_graph([parse_word(p), parse_word(q)])
-        for pid, part in enumerate(set_partitions(joint.vertices)):
+        for part in set_partitions(joint.vertices):
             w2 = omega_X(quotient(joint, part), laws, order=2)
             if w2 != 0:
-                want.append([p, q, str(pid), repr(float(w2))])
+                block = {v: b for b, blk in enumerate(part) for v in blk}
+                rgs = ".".join(str(block[v]) for v in joint.vertices)
+                want.append([p, q, rgs, repr(float(w2))])
     assert want
     assert [[r[0], r[1], r[2], r[7]] for r in rows] == want
 
@@ -381,3 +383,16 @@ def test_main_exit_code_on_bad_config(tmp_path, capsys):
     assert main(["theory", "--config", missing]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+def test_monte_carlo_commands_need_three_replicates(tmp_path, capsys):
+    doc = base_config()
+    doc["R"] = 2
+    cfg = write_config(tmp_path, doc)
+    out = str(tmp_path / "out.json")
+    for command in ("mc", "compare", "report"):
+        assert main([command, "--config", cfg, "--out", out]) == 2, command
+        assert capsys.readouterr().err.startswith("config error: /R: "), command
+    # no Monte Carlo, so two replicates are fine
+    for command in ("theory", "oracle"):
+        assert main([command, "--config", cfg, "--out", out]) == 0, command

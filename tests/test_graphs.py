@@ -149,6 +149,14 @@ def test_omega_x_simple_group():
     assert omega_X(qq, {"1": gue_law()}) == 1  # E[d^2] for GUE diag
 
 
+def test_omega_x_order_two_needs_two_cycles():
+    for words in (["x1 x1"], ["x1 x1", "x1", "x1"]):
+        g = build_cycle_graph([parse_word(w) for w in words])
+        q = quotient(g, (tuple(g.vertices),))
+        with pytest.raises(ValueError):
+            omega_X(q, {"1": gue_law()}, order=2)
+
+
 def test_omega_x_order_two_centers():
     # a disconnected union of two single-X cycles has centered weight 0
     g = build_cycle_graph([parse_word("x1 x1"), parse_word("x1 x1")])
@@ -207,6 +215,10 @@ def test_injective_trace_methods_agree():
         1,
     )
     assert injective_trace(g, fam) == pytest.approx(_direct_injective_trace(g, fam))
+    # two edges out of one vertex: column sums of A, which its transpose would
+    # turn into row sums
+    star = LabeledGraph((0, 1, 2), (Edge(0, 1, "a", letter, 0), Edge(0, 2, "a", letter, 0)), 1)
+    assert injective_trace(star, fam) == pytest.approx(_direct_injective_trace(star, fam))
     # an isolated vertex beside the A-support
     g4 = LabeledGraph((0, 1, 2, 3), g.edges, 1)
     four = DetFamily([np.arange(16.0).reshape(4, 4)])
@@ -281,8 +293,12 @@ def test_exact_moment_caps():
         exact_moment(g6, DetFamily([np.eye(3)]), {"1": gue_law()})
 
 
+def _block_of(part):
+    return {v: b for b, blk in enumerate(part) for v in blk}
+
+
 def _all_groups_even(graph, part):
-    block = {v: b for b, blk in enumerate(part) for v in blk}
+    block = _block_of(part)
     sizes = Counter(
         (frozenset((block[e.src], block[e.trg])), e.label)
         for e in graph.edges
@@ -308,15 +324,15 @@ def test_even_partitions_match_filtered_full_walk(degrees):
     for words in _labelled_words(degrees, ids):
         g = build_cycle_graph(words)
         want = [
-            (i, part)
-            for i, part in enumerate(set_partitions(g.vertices))
+            (tuple(_block_of(part)[v] for v in g.vertices), part)
+            for part in set_partitions(g.vertices)
             if _all_groups_even(g, part)
         ]
         assert list(even_partitions(g)) == want, [str(w) for w in words]
 
 
 def test_even_partitions_of_no_vertices():
-    assert list(even_partitions(LabeledGraph((), (), 0))) == [(0, ())]
+    assert list(even_partitions(LabeledGraph((), (), 0))) == [((), ())]
 
 
 def _exact_moment_full_walk(graph, family, laws):
@@ -454,3 +470,54 @@ def test_exact_tau2_equals_moment_difference(case):
     ) * exact_moment(build_cycle_graph([q]), fam, laws)
     got = exact_tau2(p, q, fam, laws)
     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (str(p), str(q))
+
+
+def _omega_x2_subset_sum(graph, laws):
+    """The order-2 weight as the alternating sum over subsets of the cycles."""
+    x_edges = [e for e in graph.edges if e.kind == "x"]
+    n = graph.n_cycles
+    by_cycle = [[e for e in x_edges if e.cycle == j] for j in range(n)]
+    total = Fraction(0)
+    for mask in range(1 << n):
+        inside = [e for j in range(n) if mask >> j & 1 for e in by_cycle[j]]
+        term = graphs._r_expect(inside, laws)
+        for j in range(n):
+            if not mask >> j & 1:
+                term *= -graphs._r_expect(by_cycle[j], laws)
+        total += term
+    return total
+
+
+@st.composite
+def _two_word_quotients(draw):
+    """A quotient of a random two-word joint graph, with laws from ORACLE_LAWS.
+
+    Half the partitions are drawn from the even ones, whose weights are the
+    nonzero terms of the walk; the rest are arbitrary restricted growth
+    strings.
+    """
+    ids = draw(st.sampled_from([("1",), ("1", "2")]))
+    p = draw(_words(ids))
+    q = draw(_words(ids))
+    assume(p.degree + q.degree <= 4)
+    g = build_cycle_graph([p, q])
+    even = list(even_partitions(g))
+    if even and draw(st.booleans()):
+        _, part = draw(st.sampled_from(even))
+    else:
+        blocks = []
+        for v in g.vertices:
+            b = draw(st.integers(0, len(blocks)))
+            if b == len(blocks):
+                blocks.append([])
+            blocks[b].append(v)
+        part = tuple(tuple(blk) for blk in blocks)
+    laws = {wid: ORACLE_LAWS[draw(st.sampled_from(sorted(ORACLE_LAWS)))] for wid in ids}
+    return quotient(g, part), laws
+
+
+@given(case=_two_word_quotients())
+@settings(max_examples=150, deadline=None)
+def test_omega_x_order_two_equals_subset_sum(case):
+    q, laws = case
+    assert omega_X(q, laws, 2) == _omega_x2_subset_sum(q, laws)

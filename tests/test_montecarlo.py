@@ -247,6 +247,16 @@ def test_empirical_cov_matches_numpy():
     assert se > 0
 
 
+def test_empirical_cov_needs_three_replicates():
+    fam = family(6)
+    p = parse_word("x1 a0")
+    two = run_traces([p], 6, 2, {"1": gue_law()}, fam, 5)
+    with pytest.raises(ValueError, match="at least 3 replicates"):
+        empirical_cov(two, p, p)
+    three = run_traces([p], 6, 3, {"1": gue_law()}, fam, 5)
+    assert empirical_cov(three, p, p)[1] > 0
+
+
 def test_k2_matches_variance():
     n = 8
     fam = family(n)

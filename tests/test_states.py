@@ -15,7 +15,6 @@ from wignerfluct.states import (
     eval_phi_tilde_K,
     family_from_json,
     identity,
-    operator_norm_estimate,
     projection,
     random_fixed,
 )
@@ -35,15 +34,27 @@ def small_family():
     return DetFamily([a, b])
 
 
-def test_operator_norm_estimate_diagonal():
-    m = np.diag([3.0, -1.0, 0.5])
-    assert operator_norm_estimate(m) == pytest.approx(3.0, rel=1e-6)
-
-
 def test_norm_bound_enforced():
     with pytest.raises(ValueError):
         DetFamily([np.diag([5.0, 0.0])], norm_bound=2.0)
     DetFamily([np.diag([5.0, 0.0])], norm_bound=5.0)
+    # a unitary passes, though its 1- and inf-norms exceed the bound
+    DetFamily([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)], norm_bound=1.0)
+
+
+def test_norm_bound_rejects_a_norm_just_above_it():
+    # both have norm 1.00025; a power iteration from a random start reads
+    # about 1.0 and 0.999 on them, since it approaches the norm from below
+    rng = np.random.default_rng(3)
+    gauss = rng.standard_normal((400, 400)) + 1j * rng.standard_normal((400, 400))
+    for m in (gauss * (1.00025 / np.linalg.norm(gauss, 2)), np.diag([1.00025] + [0.999] * 63)):
+        with pytest.raises(ValueError, match="norm 1.00025 > bound 1"):
+            DetFamily([m], norm_bound=1.0)
+
+
+def test_random_fixed_has_the_norm_cap():
+    for n, seed, cap in [(400, 3, 1.0), (64, 7, 2.5), (6, 3, 1.0)]:
+        assert np.linalg.norm(random_fixed(n, seed, cap), 2) == pytest.approx(cap, rel=1e-12)
 
 
 def test_letter_matrix_flags():
