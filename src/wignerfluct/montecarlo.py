@@ -5,20 +5,31 @@ of the replicate, so joint covariances are meaningful) and records the
 traces.  Replicates run in blocks of about BLOCK_ELEMS matrix entries: the
 draws of a block, each from its own (seed, ensemble, replicate) stream, are
 stacked into (b, N, N) arrays; for N > 90 a block is one replicate, a view
-of its draw.  The trace of a word of k >= 2 factors X_w A is one
-contraction of two half-products, the first ceil(k/2) factors and the
-rest.  Each half is split the same way and cached for the block on its
-factor tuple, so equal halves and the halves that words share are
-computed once, and a single factor is one ``DetFamily.times`` product.  A
-one-factor word on a letter with at most one nonzero per column, the
-identity among them, sums the entries of X that the letter picks, without
-forming X A.
+of its draw.  A block writes only its own slice of the output, so blocks
+run in any order: when a block is one replicate and the process may use
+more than one core, the calling thread and one helper thread per further
+core each run an interleaved share of the blocks (numpy releases the GIL
+in the sampler and the products).  Smaller blocks, whose cost is Python
+overhead, run in order on the calling thread.
+Within a block the words run sorted by their Wigner ids, longer words
+last among those on the same ids.  An id is drawn when its first word
+needs it, and after its last word its draw and the block's products on it
+are dropped, so a block holds the draws of about one id at a time.  The
+trace of a word of k >= 2 factors X_w A is one contraction of two
+half-products, the first ceil(k/2) factors and the rest.  Each half is
+split the same way and cached for the block on its factor tuple, so equal
+halves and the halves that words share are computed once, and a single
+factor is one ``DetFamily.times`` product.  A one-factor word on a letter
+with at most one nonzero per column, the identity among them, sums the
+entries of X that the letter picks, without forming X A.
 Covariances are computed without conjugation on the second factor,
 matching the limiting bilinear form; standard errors use batch means.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,13 +116,22 @@ def _draws(n, law, master_seed, k, reps):
     return mats[0][None] if len(mats) == 1 else np.stack(mats)
 
 
+def _cores():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def run_traces(monomials, n, r, ensembles, family, master_seed):
     """Trace samples of each monomial over r independent replicates.
 
     ``ensembles`` maps Wigner ids to entry laws.  Seeding is per
     (master seed, ensemble index, replicate), so outputs are reproducible
-    bit for bit whatever the block size, and replicates could be generated
-    in any order.
+    bit for bit whatever the block size, the number of cores and the order
+    of the monomials: blocks of one replicate run on every core the
+    process may use, in no fixed order.
     """
     if r < 2:
         raise ValueError("need at least 2 replicates")
@@ -126,21 +146,68 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
         raise MemoryError("N and ensemble count exceed the memory guard")
     data = {mono: np.empty(r, dtype=complex) for mono in monomials}
     words = []
-    for mono in monomials:
+    for mono in data:
         if mono.degree == 0:
             data[mono][:] = np.trace(family.letter_matrix(mono.scalar_letter))
         else:
             words.append(mono)
+    # words on the same ids run together, longer words later, so that the
+    # products they cache are dropped soon after they are made; the order
+    # does not depend on the order of the monomials
+    words.sort(key=lambda mono: (sorted(set(mono.wigner_labels)), mono.degree, str(mono)))
+    # after each word, the ids whose last word it is
+    last = {wid: i for i, mono in enumerate(words) for wid in mono.wigner_labels}
+    done = [frozenset(wid for wid, j in last.items() if j == i) for i in range(len(words))]
+    # operands are built on first use: build each one here, not per thread
+    for mono in words:
+        for _, letter in mono.pairs:
+            if mono.degree == 1 or not letter.is_identity:
+                family.operand(letter)
     block = max(1, BLOCK_ELEMS // (n * n))
-    for start in range(0, r, block):
-        stop = min(start + block, r)
-        # the last block's factors and draws go before this block is drawn
-        cache = {}
-        xmats = {}
-        for k, wid in enumerate(wids):
-            xmats[wid] = _draws(n, ensembles[wid], master_seed, k, range(start, stop))
-        for mono in words:
-            data[mono][start:stop] = _trace_word(mono, xmats, family, cache)
+
+    def run_blocks(starts):
+        for start in starts:
+            reps = range(start, min(start + block, r))
+            xmats = {}
+            cache = {}
+            for mono, drop in zip(words, done):
+                for wid in mono.wigner_labels:
+                    if wid not in xmats:
+                        xmats[wid] = _draws(
+                            n, ensembles[wid], master_seed, wids.index(wid), reps
+                        )
+                data[mono][reps.start:reps.stop] = _trace_word(mono, xmats, family, cache)
+                if drop:
+                    for wid in drop:
+                        del xmats[wid]
+                    cache = {
+                        pairs: got for pairs, got in cache.items()
+                        if drop.isdisjoint(wid for wid, _ in pairs)
+                    }
+
+    # plain threads: importing concurrent.futures alone adds 0.6 MB of
+    # resident memory to every command, including those at small N
+    starts = range(0, r, block)
+    workers = min(_cores(), len(starts)) if block == 1 else 1
+    errors = []
+
+    def run_share(share):
+        try:
+            run_blocks(share)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=run_share, args=(starts[i::workers],))
+        for i in range(1, workers)
+    ]
+    for helper in helpers:
+        helper.start()
+    run_share(starts[::workers])
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return TraceSamples(monomials, data, r)
 
 

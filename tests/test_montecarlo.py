@@ -1,4 +1,7 @@
 import functools
+import random
+import threading
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -218,6 +221,176 @@ def test_run_traces_bit_identical_across_block_sizes(monkeypatch):
             np.testing.assert_array_equal(other.traces(mono), runs[0].traces(mono))
         # replicate i is keyed by i alone, whatever R is
         np.testing.assert_array_equal(short.traces(mono), runs[0].traces(mono)[:10])
+
+
+# words that mix ids within a word and repeat an id, on three ids
+THREAD_WORDS = tuple(parse_word(t) for t in (
+    "x3 x3", "x1 a0 x2 a1", "x2 x2 x2 x2", "x1 a3", "x3 a1 x3 a2*", "x1 a1 x1 a2 x1 a3",
+    "x2 a3 x1 a2 x3 a1", "x2",
+))
+THREAD_LAWS = {"1": gue_law(), "2": goe_law(), "3": solve_law(Fraction(1, 3), 1, 2)}
+
+
+def _sample_threads(monkeypatch):
+    """Patch the sampler to record the threads that call it; returns their set."""
+    threads = set()
+
+    def sample(*args):
+        threads.add(threading.current_thread())
+        return sample_wigner(*args)
+
+    monkeypatch.setattr(montecarlo, "sample_wigner", sample)
+    return threads
+
+
+def test_run_traces_bit_identical_across_core_counts(monkeypatch):
+    # blocks of one replicate, and R = 7 is a multiple of neither 2 nor 3
+    n, r = 8, 7
+    fam = letter_family(n, 6)
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", n * n)
+    runs = []
+    for cores in (1, 2, 3):
+        threads = _sample_threads(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_cores", lambda: cores)
+        runs.append(run_traces(THREAD_WORDS, n, r, THREAD_LAWS, fam, 21))
+        # the calling thread and cores - 1 helpers each ran a share
+        assert len(threads) == cores
+    want = run_traces_reference(THREAD_WORDS, n, r, THREAD_LAWS, fam, 21)
+    for mono in THREAD_WORDS:
+        for other in runs[1:]:
+            np.testing.assert_array_equal(other.traces(mono), runs[0].traces(mono))
+        np.testing.assert_allclose(runs[0].traces(mono), want[mono], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("block, cores", [(1, 2), (3, 1)])
+def test_run_traces_do_not_depend_on_monomial_order(monkeypatch, block, cores):
+    n, r = 6, 8
+    fam = letter_family(n, 7)
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", block * n * n)
+    monkeypatch.setattr(montecarlo, "_cores", lambda: cores)
+    shuffled = list(THREAD_WORDS)
+    random.Random(block).shuffle(shuffled)
+    runs = [
+        run_traces(order, n, r, THREAD_LAWS, fam, 3)
+        for order in (THREAD_WORDS, THREAD_WORDS[::-1], shuffled)
+    ]
+    for mono in THREAD_WORDS:
+        for other in runs[1:]:
+            np.testing.assert_array_equal(other.traces(mono), runs[0].traces(mono))
+
+
+# with two cores the calling thread runs replicates 0, 2, 4 and a helper 1, 3, 5
+@pytest.mark.parametrize("failing, in_helper", [(3, True), (2, False)])
+def test_run_traces_raises_a_block_failure_and_joins_its_threads(monkeypatch, failing, in_helper):
+    n, r = 6, 6
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", n * n)
+    monkeypatch.setattr(montecarlo, "_cores", lambda: 2)
+    failed_in = []
+
+    def sample(n, law, seed_key):
+        if seed_key[2] == failing:
+            failed_in.append(threading.current_thread())
+            raise ArithmeticError("replicate %d" % failing)
+        return sample_wigner(n, law, seed_key)
+
+    monkeypatch.setattr(montecarlo, "sample_wigner", sample)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="replicate %d" % failing):
+        run_traces(THREAD_WORDS, n, r, THREAD_LAWS, letter_family(n, 1), 5)
+    assert (failed_in[0] is not threading.main_thread()) == in_helper
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n, block_elems, cores, helpers", [
+    (6, 36, 2, True),
+    (6, 36, 1, False),  # one core
+    (6, 72, 2, False),  # two replicates a block
+    (6, 72, 8, False),
+    (91, montecarlo.BLOCK_ELEMS, 2, True),  # N > 90 is one replicate a block
+    (90, montecarlo.BLOCK_ELEMS, 2, False),
+])
+def test_threads_only_for_one_replicate_blocks_on_more_cores(
+    monkeypatch, n, block_elems, cores, helpers
+):
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", block_elems)
+    monkeypatch.setattr(montecarlo, "_cores", lambda: cores)
+    words = [parse_word("x1 a0"), parse_word("x1 x1")]
+    with mock.patch.object(montecarlo.threading, "Thread", wraps=threading.Thread) as made:
+        run_traces(words, n, 4, {"1": goe_law()}, family(n), 2)
+    assert made.call_count == (cores - 1 if helpers else 0)
+
+
+def test_cores_counts_the_cpus_this_process_may_use(monkeypatch):
+    assert montecarlo._cores() >= 1
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    assert montecarlo._cores() == 1
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_draws_live_only_from_their_first_word_to_their_last(monkeypatch, block):
+    # when a word runs, the draw of every id it does not use is gone unless
+    # the id has words both before and after it in the block: the draws are
+    # lazy, and a draw and the products on it go after its last word
+    n, r = 6, 6
+    wids = ["1", "2", "3"]
+    uses = {wid: {m for m in THREAD_WORDS if wid in m.wigner_labels} for wid in wids}
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", block * n * n)
+    monkeypatch.setattr(montecarlo, "_cores", lambda: 1)
+    draws = {}  # ensemble index -> weakref to its latest (b, N, N) draw
+    ran = []
+    checked = []
+    draw_stack = montecarlo._draws
+
+    def drawn(n, law, master_seed, k, reps):
+        got = draw_stack(n, law, master_seed, k, reps)
+        draws[k] = weakref.ref(got)
+        return got
+
+    trace_word = montecarlo._trace_word
+
+    def traced(mono, xmats, family, cache):
+        if len(ran) == len(THREAD_WORDS):
+            ran.clear()  # a new block
+        ran.append(mono)
+        for k, wid in enumerate(wids):
+            started = uses[wid] & set(ran[:-1])
+            if wid in mono.wigner_labels or started and started != uses[wid]:
+                continue
+            if k in draws:
+                assert draws[k]() is None, "draw of %s alive at %s" % (wid, mono)
+                checked.append(wid)
+        return trace_word(mono, xmats, family, cache)
+
+    monkeypatch.setattr(montecarlo, "_draws", drawn)
+    monkeypatch.setattr(montecarlo, "_trace_word", traced)
+    got = run_traces(THREAD_WORDS, n, r, THREAD_LAWS, letter_family(n, 4), 9)
+    assert set(checked) == set(wids)
+    want = run_traces_reference(THREAD_WORDS, n, r, THREAD_LAWS, letter_family(n, 4), 9)
+    for mono in THREAD_WORDS:
+        np.testing.assert_allclose(got.traces(mono), want[mono], rtol=1e-12, atol=1e-12)
+
+
+def test_words_run_by_id_longer_last_holding_one_draw_at_a_time(monkeypatch):
+    # each id's draw goes before the next is made, and the longer words of
+    # an id run after its shorter ones, so their products go soon after
+    n = 6
+    texts = ("x2 a0", "x1 a1", "x3 x3", "x1 x1 x1 x1", "x2 a3 x2 a2", "x3 a1", "x1", "x2 x2")
+    words = [parse_word(t) for t in texts]
+    ran = []
+    trace_word = montecarlo._trace_word
+
+    def traced(mono, xmats, family, cache):
+        ran.append((mono.wigner_labels[0], mono.degree, len(xmats)))
+        return trace_word(mono, xmats, family, cache)
+
+    monkeypatch.setattr(montecarlo, "_trace_word", traced)
+    run_traces(words, n, 3, THREAD_LAWS, letter_family(n, 4), 9)
+    # one block of all three replicates
+    assert [live for _, _, live in ran] == [1] * len(words)
+    assert [(wid, degree) for wid, degree, _ in ran] == sorted(
+        (m.wigner_labels[0], m.degree) for m in words
+    )
 
 
 def test_degree_zero_monomial_constant():
