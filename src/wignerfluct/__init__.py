@@ -60,14 +60,12 @@ from .montecarlo import (
     TraceSamples,
     empirical_cov,
     empirical_cumulants,
-    is_gaussian,
     mixed_third_cumulant,
     run_traces,
 )
 from .states import (
     DetFamily,
     FiniteNState,
-    SymbolicState,
     eval_phi_K,
     eval_phi_tilde_K,
     family_from_json,

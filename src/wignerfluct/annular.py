@@ -142,7 +142,12 @@ class AnnularPairing:
     match: tuple
 
     def __post_init__(self):
-        if not is_annular_noncrossing(self.match, self.m, self.n):
+        if self.n:
+            ok = is_annular_noncrossing(self.match, self.m, self.n)
+        else:  # a disc; the empty pairing has no point to cross
+            _check_involution(self.match, self.m)
+            ok = not self.m or _genus_zero(self.match, (self.m,))
+        if not ok:
             raise ValueError("pairing is not annular non-crossing")
 
     @property

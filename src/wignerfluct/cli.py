@@ -14,11 +14,14 @@ Experiments are described by a JSON config:
 }
 
 The family's dimension is taken from N, so the same config drives
-convergence sweeps.  Reports are plain JSON with a schema_version and a
-config hash that is invariant under key reordering.
+convergence sweeps; a size may appear once.  Reports are plain JSON with a
+schema_version and a config hash that is invariant under key reordering.
+Monte Carlo samples with the config's seed, so the record and its hash
+name every input of a run.
 
 ``mc`` prints each pair's covariance estimate with its batch-means standard
-error and, when R >= 100, the order 2-4 cumulants of each word's trace.
+error and, when R >= 100, the order 2-4 cumulants of each word's trace with
+their standard errors, and no verdict on them.
 ``compare`` sets each pair's theory value against the Monte Carlo estimate
 and the exact oracle and prints no cumulants; ``report`` is ``compare``
 plus the cumulants of ``mc`` (an empty object when R < 100).  These three
@@ -210,6 +213,8 @@ def parse_config(path):
     for i, n in enumerate(n_list):
         if not _is_int(n) or n < 1:
             _fail("/N/%d" % i, "expected a positive integer")
+        if n in n_list[:i]:
+            _fail("/N/%d" % i, "duplicate size %d" % n)
     if not _is_int(doc["R"]) or doc["R"] < 2:
         _fail("/R", "expected an integer >= 2")
     if not _is_int(doc["seed"]) or doc["seed"] < 0:
@@ -296,8 +301,8 @@ def cmd_theory(args):
     return 0
 
 
-def _samples(cfg, family, seed):
-    return run_traces(cfg.monomials(), family.N, cfg.r, cfg.laws, family, seed)
+def _samples(cfg, family):
+    return run_traces(cfg.monomials(), family.N, cfg.r, cfg.laws, family, cfg.seed)
 
 
 def _cumulants(cfg, samples):
@@ -314,23 +319,19 @@ def _cumulants(cfg, samples):
 
 
 def _mc_config(args):
-    """The config and seed of a Monte Carlo command, which needs R >= 3."""
+    """The config of a Monte Carlo command, which needs R >= 3."""
     cfg = parse_config(args.config)
     if cfg.r < MIN_COV_REPLICATES:
         _fail("/R", "Monte Carlo covariances need R >= %d" % MIN_COV_REPLICATES)
-    if args.seed is None:
-        return cfg, cfg.seed
-    if args.seed < 0:
-        _fail("/seed", "--seed expects an integer >= 0")
-    return cfg, args.seed
+    return cfg
 
 
 def cmd_mc(args):
-    cfg, seed = _mc_config(args)
+    cfg = _mc_config(args)
     record = _base_record(cfg)
     record["mc"] = []
     for n in cfg.n_list:
-        samples = _samples(cfg, cfg.family(n), seed)
+        samples = _samples(cfg, cfg.family(n))
         covariances = []
         for p, q in cfg.pairs:
             est, se = empirical_cov(samples, p, q)
@@ -411,7 +412,7 @@ def cmd_oracle(args):
 
 def cmd_compare(args, with_cumulants=False):
     """compare (and, with cumulants, report): theory against MC and the oracle."""
-    cfg, seed = _mc_config(args)
+    cfg = _mc_config(args)
     started = time.time()
     record = _base_record(cfg)
     runs = []
@@ -419,7 +420,7 @@ def cmd_compare(args, with_cumulants=False):
     for n in cfg.n_list:
         family = cfg.family(n)
         theory = _theory_rows(cfg, family)
-        samples = _samples(cfg, family, seed)
+        samples = _samples(cfg, family)
         rows = []
         for (theory_val, t_row), (p, q) in zip(theory, cfg.pairs):
             est, se = empirical_cov(samples, p, q)
@@ -466,16 +467,14 @@ def build_parser():
 
     for name, fn, extra in [
         ("theory", cmd_theory, []),
-        ("mc", cmd_mc, ["seed", "csv"]),
+        ("mc", cmd_mc, ["csv"]),
         ("oracle", cmd_oracle, ["dump"]),
-        ("compare", cmd_compare, ["seed"]),
-        ("report", functools.partial(cmd_compare, with_cumulants=True), ["seed"]),
+        ("compare", cmd_compare, []),
+        ("report", functools.partial(cmd_compare, with_cumulants=True), []),
     ]:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        if "seed" in extra:
-            p.add_argument("--seed", type=int, default=None)
         if "csv" in extra:
             p.add_argument("--csv", default=None)
         if "dump" in extra:

@@ -265,8 +265,18 @@ def sample_wigner(n, law, seed_key):
     # the matrix, so that the bytes do not depend on the layout: the upper
     # triangle gains conj(0) and the lower 0, which fixes the signs of zero
     # parts, and a complex array over a real scalar is a complex division,
-    # so the diagonal is cast before it is divided
-    flat[upper] = (off + zero.conj()) / scale
-    flat[lower] = (off.conj() + zero) / scale
-    flat[diagonal] = diag.astype(dtype) / scale
+    # so the diagonal is cast before it is divided.  Each triangle is built
+    # in one buffer and divided in place, so the draw peaks at the matrix,
+    # ``off`` and that buffer.
+    buf = off + zero.conj()
+    buf /= scale
+    flat[upper] = buf
+    if not real:  # on real entries the lower triangle equals the upper
+        np.conjugate(off, out=off)
+        np.add(off, zero, out=buf)
+        buf /= scale
+    flat[lower] = buf
+    diag = diag.astype(dtype)
+    diag /= scale
+    flat[diagonal] = diag
     return x

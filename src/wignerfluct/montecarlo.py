@@ -19,9 +19,10 @@ trace of a word of k >= 2 factors X_w A is one contraction of two
 half-products, the first ceil(k/2) factors and the rest.  Each half is
 split the same way and cached for the block on its factor tuple, so equal
 halves and the halves that words share are computed once, and a single
-factor is one ``DetFamily.times`` product.  A one-factor word on a letter
-with at most one nonzero per column, the identity among them, sums the
-entries of X that the letter picks, without forming X A.
+factor is one ``DetFamily.times`` product.  A one-factor word is one
+``DetFamily.trace_times`` call: on a letter with at most one nonzero per
+column, the identity among them, it sums the entries of X that the letter
+picks, without forming X A.
 Covariances are computed without conjugation on the second factor,
 matching the limiting bilinear form; standard errors use batch means.
 """
@@ -45,8 +46,6 @@ MIN_COV_REPLICATES = 3
 # memory alone (one block of all R = 4000 at N = 8, 2**18 entries, raised
 # the peak resident memory of that run by about a fifth)
 BLOCK_ELEMS = 2**14
-# is_gaussian's threshold on |cumulant| / SE for the orders 3 and 4
-GAUSSIAN_SIGMAS = 5.0
 
 
 @dataclass
@@ -98,13 +97,7 @@ def _trace_word(mono, xmats, family, cache):
             _product(pairs[h:], xmats, family, cache),
         )
     (wid, letter), = pairs
-    x = xmats[wid]
-    op = family.operand(letter)
-    if isinstance(op, tuple):
-        # Tr(X A) = sum_j X[j, rows[j]] weights[j]; the identity is a gather too
-        rows, weights = op
-        return (x[:, np.arange(family.N), rows] * weights).sum(axis=-1)
-    return np.trace(family.times(x, letter), axis1=1, axis2=2)
+    return family.trace_times(xmats[wid], letter)
 
 
 def _draws(n, law, master_seed, k, reps):
@@ -158,7 +151,8 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
     # after each word, the ids whose last word it is
     last = {wid: i for i, mono in enumerate(words) for wid in mono.wigner_labels}
     done = [frozenset(wid for wid, j in last.items() if j == i) for i in range(len(words))]
-    # operands are built on first use: build each one here, not per thread
+    # operands are built on first use: build each one here, or the threads,
+    # which start on the same first word, would each build it
     for mono in words:
         for _, letter in mono.pairs:
             if mono.degree == 1 or not letter.is_identity:
@@ -285,13 +279,3 @@ def mixed_third_cumulant(samples, p, q):
         return n * n * float(np.mean(ca * ca * cb)) / ((n - 1) * (n - 2))
 
     return stat(zp, zq), float(_batch_se(stat, nb, zp, zq))
-
-
-def is_gaussian(samples, p):
-    """True when the third and fourth cumulants are within GAUSSIAN_SIGMAS SE of 0."""
-    cums = empirical_cumulants(samples, p)
-    ok = True
-    for order, value, se in cums:
-        if order >= 3 and abs(value) > GAUSSIAN_SIGMAS * se:
-            ok = False
-    return ok, cums

@@ -6,11 +6,11 @@ tuples as given; a computed value is stored once under every equivalent
 key: every rotation of the word for ``phi``, both transposes of each
 argument in both orders for ``phi_hadamard``.  ``phi_transpose(p, q)`` is
 ``phi`` of p followed by the reversed transposes of q.  On a miss the value
-is computed on the state's N x N family; a state without a family
-(``SymbolicState``, whose tables go through the same store) raises
-``KeyError`` instead.  The per-pairing evaluators read each pairing's
-Kreweras cycles and through splits.  Every word product, here and in Monte
-Carlo, is one ``DetFamily.times`` call per letter.
+is computed on the state's N x N family: the covariance needs the
+family's Hadamard functionals, not only its *-distribution.  The
+per-pairing evaluators read each pairing's Kreweras cycles and through
+splits.  Every word product, here and in Monte Carlo, is one
+``DetFamily.times`` call per letter.
 """
 
 from __future__ import annotations
@@ -113,6 +113,19 @@ class DetFamily:
         out *= weights  # in place: one N x N buffer, not two
         return out
 
+    def trace_times(self, mat, letter):
+        """The b traces of ``mat @ A_letter`` over a (b, N, N) stack ``mat``.
+
+        A letter with at most one nonzero per column, the identity among
+        them, sums the entries of ``mat`` it picks, without the product:
+        Tr(X A) = sum_j X[j, rows[j]] weights[j].
+        """
+        op = self.operand(letter)
+        if isinstance(op, tuple):
+            rows, weights = op
+            return (mat[:, np.arange(self.N), rows] * weights).sum(axis=-1)
+        return np.trace(self.times(mat, letter), axis1=1, axis2=2)
+
     def word_matrix(self, letters):
         """Product matrix of a word of deterministic letters (read-only).
 
@@ -149,7 +162,7 @@ class FiniteNState:
     phi is the normalized trace, phi_hadamard the normalized trace of the
     entry-wise product (which only sees diagonals), phi_transpose the
     normalized trace of p q^t.  Values are computed on ``family`` the first
-    time a key is seen; with ``family=None`` an unknown key raises KeyError.
+    time a key is seen.
     """
 
     def __init__(self, family):
@@ -167,8 +180,6 @@ class FiniteNState:
             return 1.0 + 0.0j
         got = self._phi.get(key)
         if got is None:
-            if self.family is None:
-                raise KeyError("no symbolic table entry for word %r" % (key,))
             got = complex(np.trace(self.family.word_matrix(letters)) / self.N)
             _store_phi(self._phi, key, got)
         return got
@@ -177,8 +188,6 @@ class FiniteNState:
         ka, kb = _word_key(letters_p), _word_key(letters_q)
         got = self._hadamard.get((ka, kb))
         if got is None:
-            if self.family is None:
-                raise KeyError("no symbolic hadamard entry for (%r, %r)" % (ka, kb))
             p = self.family.word_matrix(letters_p)
             q = self.family.word_matrix(letters_q)
             got = complex(np.sum(np.diagonal(p) * np.diagonal(q)) / self.N)
@@ -188,24 +197,6 @@ class FiniteNState:
     def phi_transpose(self, letters_p, letters_q):
         rev = [letter.transpose() for letter in reversed(letters_q)]
         return self.phi(list(letters_p) + rev)
-
-
-class SymbolicState(FiniteNState):
-    """A state given by tables for abstract limits, with no matrix family.
-
-    ``phi_table`` maps factor tuples to values; ``hadamard_table`` maps pairs
-    of factor tuples.  Entries are stored as ``FiniteNState`` stores a
-    computed value, so a table entry answers every rotation of its word
-    (phi) and either transpose of each argument, in either order
-    (phi_hadamard).
-    """
-
-    def __init__(self, phi_table, hadamard_table=None):
-        super().__init__(None)
-        for key, value in phi_table.items():
-            _store_phi(self._phi, key, complex(value))
-        for (ka, kb), value in (hadamard_table or {}).items():
-            _store_hadamard(self._hadamard, ka, kb, complex(value))
 
 
 def eval_phi_K(pairing, letters, state):

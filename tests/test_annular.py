@@ -49,6 +49,19 @@ def test_pairing_rejects_no_through_string():
         AnnularPairing(2, 2, tuple(match))
 
 
+def test_disc_pairings_pass_the_constructor():
+    # a disc pairing of k points is a (k, 0) AnnularPairing
+    for k in range(0, 11, 2):
+        for p in enumerate_nc2_disc(k):
+            built = AnnularPairing(k, 0, p.match)
+            assert built == p
+            assert built.kreweras_cycles == p.kreweras_cycles
+    # (1,3)(2,4) crosses; a fixed point is no pairing
+    for match in [(0, 3, 4, 1, 2), (0, 1, 3, 2)]:
+        with pytest.raises(ValueError):
+            AnnularPairing(len(match) - 1, 0, match)
+
+
 def test_pairing_rejects_crossing():
     # chord (1,3) traps point 2, whose through string must cross it
     match = (0, 3, 5, 1, 6, 2, 4)

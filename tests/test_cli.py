@@ -118,6 +118,9 @@ def test_malformed_values_exit_with_config_error(tmp_path, capsys):
         ("family", {"matrices": [{"kind": "diagonal_pattern", "values": [1, "1e400"]}]},
          "/family/matrices/0"),
         ("ensembles", {"1": {"theta": "1e400", "eta": 1, "k4": 1}}, "/ensembles/1/theta"),
+        # each size once: theory records are keyed by N
+        ("N", [6, 6], "/N/1: duplicate size 6"),
+        ("N", [6, 7, 6], "/N/2: duplicate size 6"),
     ]
     for key, value, start in cases:
         doc = base_config()
@@ -130,11 +133,29 @@ def test_malformed_values_exit_with_config_error(tmp_path, capsys):
             assert "Traceback" not in err
 
 
-def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+def test_seed_flag_is_a_usage_error(tmp_path, capsys):
+    # a run's seed is the config's, which the record and its hash carry
     cfg = write_config(tmp_path, base_config())
-    for command in ("mc", "compare"):
-        assert main([command, "--config", cfg, "--seed", "-1"]) == 2
-        assert capsys.readouterr().err.startswith("config error: /seed")
+    for command in ("mc", "compare", "report"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
+def test_config_seed_sets_the_hash_and_the_estimates(tmp_path):
+    records = []
+    for seed in (5, 9):
+        doc = dict(base_config(), N=6, R=40, seed=seed)
+        cfg = write_config(tmp_path, doc, "seed%d.json" % seed)
+        out = tmp_path / ("seed%d.out.json" % seed)
+        assert main(["mc", "--config", cfg, "--out", str(out)]) == 0
+        records.append(json.loads(out.read_text()))
+    a, b = records
+    assert a["config"]["seed"] == 5 and b["config"]["seed"] == 9
+    assert a["config_hash"] != b["config_hash"]
+    est = [r["mc"][0]["covariances"][0]["estimate"] for r in records]
+    assert est[0] != est[1]
 
 
 def test_constant_trace_has_zero_oracle_and_covariance(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -254,6 +255,21 @@ def test_sample_wigner_bytes_match_reference():
                 want = sample_wigner_reference(n, law, (6, 1, rep))
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (law, n, rep)
+
+
+def test_sample_wigner_peak_memory():
+    # the matrix, the off-diagonal draws (half its entries) and one buffer
+    # of the same size: about 2x the matrix
+    for law in (gue_law(), solve_law(Fraction(1, 2), Fraction(1), Fraction(1)),
+                goe_law(), rademacher_law()):
+        sample_wigner(400, law, (3, 0, 0))  # the layout is cached per N
+        tracemalloc.start()
+        try:
+            x = sample_wigner(400, law, (3, 0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * x.nbytes, (law, peak / x.nbytes)
 
 
 def test_sample_wigner_second_moment():

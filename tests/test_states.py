@@ -8,7 +8,6 @@ from wignerfluct.annular import AnnularPairing, enumerate_nc2, kreweras
 from wignerfluct.states import (
     DetFamily,
     FiniteNState,
-    SymbolicState,
     circulant,
     diagonal_pattern,
     eval_phi_K,
@@ -200,33 +199,6 @@ def test_family_from_json():
     assert len(fam.matrices) == 2
     with pytest.raises(ValueError):
         family_from_json({"dim": 2, "matrices": [{"kind": "nope"}]})
-
-
-def test_symbolic_state_lookup():
-    key = ((0, False, False),)
-    state = SymbolicState({key: 0.5, key + key: 0.25})
-    assert state.phi([DetLetter.base(0)]) == 0.5
-    assert state.phi([DetLetter.base(0), DetLetter.base(0)]) == 0.25
-    with pytest.raises(KeyError):
-        state.phi([DetLetter.base(1)])
-
-
-def test_symbolic_state_cyclic_invariance():
-    ka = ((0, False, False), (1, False, False))
-    state = SymbolicState({ka: 0.7})
-    assert state.phi([DetLetter.base(1), DetLetter.base(0)]) == 0.7
-
-
-def test_symbolic_state_hadamard_lookup():
-    ka = ((0, False, False), (1, False, False))
-    kb = ((1, False, False),)
-    state = SymbolicState({}, {(ka, kb): 0.3})
-    a0, a1 = DetLetter.base(0), DetLetter.base(1)
-    assert state.phi_hadamard([a0, a1], [a1]) == 0.3
-    # unordered arguments, each up to a transpose of the whole word
-    assert state.phi_hadamard([a1.transpose()], [a1.transpose(), a0.transpose()]) == 0.3
-    with pytest.raises(KeyError):
-        state.phi_hadamard([a0], [a1])
 
 
 LETTERS = st.lists(
@@ -455,7 +427,7 @@ def test_times_on_a_stack_matches_each_slice(n, seed, b, fused):
     # every zoo matrix alone: gathers (diagonal, projection, shift), dense
     # letters, and a permutation with complex weights, which the real GOE
     # stack gathers into a complex result
-    letters = [DetLetter.base(j) for j in range(8)] + [fused]
+    letters = [DetLetter.base(j) for j in range(8)] + [fused, IDENTITY_LETTER]
     for k, law in enumerate((goe_law(), gue_law())):
         stack = np.stack([sample_wigner(n, law, (seed, k, rep)) for rep in range(b)])
         for letter in letters:
@@ -464,3 +436,8 @@ def test_times_on_a_stack_matches_each_slice(n, seed, b, fused):
                 want = fam.times(stack[rep], letter)
                 assert got[rep].dtype == want.dtype
                 assert got[rep].tobytes() == want.tobytes(), (letter, rep)
+            # the traces of the same products, gathered or dense
+            want = [np.trace(x @ fam.letter_matrix(letter)) for x in stack]
+            np.testing.assert_allclose(
+                fam.trace_times(stack, letter), want, rtol=1e-12, atol=1e-12
+            )
