@@ -41,7 +41,9 @@ from .ensembles import (
     params_of,
     rademacher_law,
     sample_wigner,
+    sample_wigners,
     solve_law,
+    stream_keys,
 )
 from .graphs import (
     LabeledGraph,

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .annular import enumerate_nc2, enumerate_nc2_disc, is_non_mixing
-from .states import eval_phi_K, eval_phi_tilde_K
+from .states import CycleValues
 from .words import Monomial, Polynomial, s_transform
 
 
@@ -70,9 +70,9 @@ def first_order(mono, params, state):
         return state.phi([mono.scalar_letter])
     if k % 2:
         return 0j
-    labels, letters = mono.wigner_labels, mono.det_letters
+    labels, values = mono.wigner_labels, CycleValues(mono.det_letters, state)
     return _csum([
-        eval_phi_K(sigma, letters, state)
+        values.phi_K(sigma)
         for sigma in enumerate_nc2_disc(k)
         if is_non_mixing(sigma, labels)
     ])
@@ -121,11 +121,12 @@ def phi2_terms(p, q, params, state):
     labels, letters = _word_data(p, q)
     sq = s_transform(q)
     labels_t, letters_t = _word_data(p, sq)
+    values, values_t = CycleValues(letters, state), CycleValues(letters_t, state)
 
     s1, s2, s3, s4 = [], [], [], []
     for sigma in enumerate_nc2(m, n):
         if is_non_mixing(sigma, labels):
-            s1.append(eval_phi_K(sigma, letters, state))
+            s1.append(values.phi_K(sigma))
             # S3 (k4) needs two through strings of one label, S4 one string
             l = sigma.through_count
             wid = _through_label(sigma, labels) if l <= 2 else None
@@ -133,14 +134,14 @@ def phi2_terms(p, q, params, state):
                 par = _get_params(params, wid)
                 weight = par.k4 if l == 2 else par.eta - 1 - par.theta
                 if weight != 0:
-                    tilde = weight * eval_phi_tilde_K(sigma, letters, state)
+                    tilde = weight * values.phi_tilde_K(sigma)
                     (s3 if l == 2 else s4).append(tilde)
         if is_non_mixing(sigma, labels_t):
             theta_sigma = 1.0 + 0.0j
             for i, _ in sigma.through_strings():
                 theta_sigma *= _get_params(params, labels_t[i - 1]).theta
             if theta_sigma != 0:
-                s2.append(theta_sigma * eval_phi_K(sigma, letters_t, state))
+                s2.append(theta_sigma * values_t.phi_K(sigma))
     return Phi2Terms(_csum(s1), _csum(s2), _csum(s3), _csum(s4))
 
 
@@ -159,16 +160,17 @@ def phi2_two_term(p, q, params, state):
     if m == 0 or n == 0 or (m + n) % 2:
         return 0j
     labels, letters = _word_data(p, q)
+    values = CycleValues(letters, state)
     vals = []
     for sigma in enumerate_nc2(m, n):
         if not is_non_mixing(sigma, labels):
             continue
-        vals.append(eval_phi_K(sigma, letters, state))
+        vals.append(values.phi_K(sigma))
         wid = _through_label(sigma, labels) if sigma.through_count == 2 else None
         if wid is not None:
             k4 = _get_params(params, wid).k4
             if k4 != 0:
-                vals.append(k4 * eval_phi_tilde_K(sigma, letters, state))
+                vals.append(k4 * values.phi_tilde_K(sigma))
     return _csum(vals)
 
 

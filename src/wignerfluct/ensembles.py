@@ -10,12 +10,20 @@ diagonal entry.  The three scalar parameters are
 
 Discrete designs use symmetric three-point laws on {-a, 0, a}, which is
 enough to hit any admissible (theta, eta, k4) with theta in [-1, 1].
+
+Sampling is counter-based: the matrix of ensemble k in replicate rep of a
+run with seed s draws from the Philox stream that SeedSequence((s, k, rep))
+keys.  ``stream_keys`` computes those keys for many replicates at once with
+SeedSequence's own hash, and ``sample_wigners`` draws a block of matrices
+in one call, re-keying one generator per matrix, so every matrix has the
+same bytes in any block, ``sample_wigner``'s block of one included.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,11 +69,14 @@ class SymmetricDiscreteLaw:
     def variance(self):
         return self.moment(2)
 
-    def sample(self, rng, size):
+    def atoms(self, u):
+        """The values of a*s at uniforms u: -a below p, a below 2p, else 0."""
         a = math.sqrt(float(self.a2))
         pr = float(self.p)
-        u = rng.random(size)
         return np.where(u < pr, -a, np.where(u < 2.0 * pr, a, 0.0))
+
+    def sample(self, rng, size):
+        return self.atoms(rng.random(size))
 
 
 @dataclass(frozen=True)
@@ -209,15 +220,84 @@ def diagonal_moment(law, k):
     return law.diag_variance ** (k // 2) * _double_factorial(k)
 
 
-def make_rng(seed_key):
-    """Counter-based generator keyed by an integer tuple, bit-reproducible."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
-
-
 def is_real_law(law):
     if law.kind == "gaussian_real":
         return True
     return law.kind == "uv_discrete" and law.v.variance == 0
+
+
+# The constants of numpy's SeedSequence hash (NEP 19), with which
+# ``stream_keys`` reproduces its output.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(value):
+    """The 32-bit little-endian words of an integer >= 0; 0 is one word."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("seed, ensemble index and replicate must be >= 0")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(init, mult):
+    """SeedSequence's ``hashmix`` on uint32 arrays, with its running constant."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x, y):
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
+def stream_keys(seed, k, reps):
+    """Philox keys of the streams (seed, k, rep), one row per rep: (b, 2) uint64.
+
+    Row i is ``SeedSequence((seed, k, reps[i])).generate_state(2, np.uint64)``,
+    the key of a Philox seeded with that tuple, computed in uint32 arithmetic
+    for all the reps at once.  The entropy is the words of seed, k and rep;
+    they fill and cross-mix a pool of four words, any further word is mixed
+    into each pool word, and the pool is hashed into four output words.
+    """
+    reps = np.asarray(reps, dtype=np.int64).reshape(-1)
+    if reps.size and (reps.min() < 0 or reps.max() > _MASK32):
+        raise ValueError("replicate indices must lie in [0, 2**32)")
+    entropy = [np.array([w], dtype=np.uint32) for w in _words(seed) + _words(k)]
+    entropy.append(reps.astype(np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else np.zeros(1, dtype=np.uint32))
+        for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = np.empty((reps.size, _POOL_SIZE), dtype="<u4")
+    for i, word in enumerate(pool):
+        words[:, i] = hashmix(word)
+    # two little-endian uint64 a row, as generate_state reads the four words
+    return words.view("<u8").astype(np.uint64, copy=False)
 
 
 @functools.lru_cache(maxsize=8)
@@ -233,33 +313,70 @@ def _hermitian_layout(n):
     return layout
 
 
-def sample_wigner(n, law, seed_key):
-    """One Hermitian sample X/sqrt(N) of the given N x N ensemble.
+def _draw_rows(method, sizes, keys):
+    """Row i of each (b, size) array: the variates of the stream of key i.
 
-    ``seed_key`` is an integer tuple; equal keys give bit-identical samples.
-    Real-valued laws return a float array (symmetric), which speeds up the
-    downstream matrix products.  The scaled draws are written straight into
-    their upper, lower and diagonal positions.
+    One generator serves the block.  For each key it is set to the start of
+    that key's stream, the state a Philox built on the key has, and
+    ``Generator.<method>`` fills row i of each array in turn.
     """
-    rng = make_rng(seed_key)
+    bitgen = np.random.Philox(0)  # any key: each stream sets its own
+    draw = getattr(np.random.Generator(bitgen), method)
+    rows = [np.empty((len(keys), size)) for size in sizes]
+    # plain ints: the state setter reads them about twice as fast as arrays
+    counter = (0, 0, 0, 0)
+    state = {
+        "bit_generator": "Philox",
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # the buffer is spent: the next draw starts a block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for i, key in enumerate(keys.tolist()):
+        state["state"] = {"counter": counter, "key": key}
+        bitgen.state = state
+        for out in rows:
+            draw(out=out[i])
+    return rows
+
+
+def sample_wigners(n, law, keys):
+    """Hermitian samples X/sqrt(N) of the N x N ensemble, one per stream key.
+
+    ``keys`` is a (b, 2) array of Philox keys (see ``stream_keys``); returns
+    the (b, N, N) stack, sample i drawn from the stream of key i alone, so a
+    sample's bytes do not depend on the block it is drawn in.  Real-valued
+    laws give float arrays (symmetric), which speeds up the downstream
+    matrix products.  The scaled draws are written straight into their
+    upper, lower and diagonal positions, with flat indices into the stack.
+    """
+    b = len(keys)
     upper, lower, diagonal = _hermitian_layout(n)
     k = upper.size
+    if b > 1:  # the positions in each matrix of the (b, N, N) stack, in turn
+        start = np.arange(b)[:, None] * (n * n)
+        upper, lower, diagonal = [(start + pos).reshape(-1) for pos in (upper, lower, diagonal)]
     real = is_real_law(law)
-    if law.kind == "gaussian_complex":
-        off = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2)
-        diag = rng.standard_normal(n) * math.sqrt(float(law.diag_variance))
-    elif law.kind == "gaussian_real":
-        off = rng.standard_normal(k)
-        diag = rng.standard_normal(n) * math.sqrt(float(law.diag_variance))
-    else:
-        off = law.u.sample(rng, k)
+    # per replicate: the off-diagonal real parts, the imaginary parts of a
+    # complex law, then the diagonal
+    sizes = [k, n] if real else [k, k, n]
+    if law.kind == "uv_discrete":
+        rows = _draw_rows("random", sizes, keys)
+        off = law.u.atoms(rows[0])
         if not real:
-            off = off + 1j * law.v.sample(rng, k)
-        diag = law.diag.sample(rng, n)
+            off = off + 1j * law.v.atoms(rows[1])
+        diag = law.diag.atoms(rows[-1])
+    else:
+        rows = _draw_rows("standard_normal", sizes, keys)
+        off = rows[0]
+        if not real:
+            off = (off + 1j * rows[1]) / math.sqrt(2)
+        diag = rows[-1] * math.sqrt(float(law.diag_variance))
+    del rows  # before the matrix is made, or the uniforms and normals add to its peak
     dtype = float if real else complex
     scale = math.sqrt(n)
     zero = np.zeros(1, dtype=dtype)
-    x = np.empty((n, n), dtype=dtype)
+    x = np.empty((b, n, n), dtype=dtype)
     flat = x.reshape(-1)
     # entry by entry the same operations as summing X + X^H and dividing
     # the matrix, so that the bytes do not depend on the layout: the upper
@@ -270,13 +387,23 @@ def sample_wigner(n, law, seed_key):
     # ``off`` and that buffer.
     buf = off + zero.conj()
     buf /= scale
-    flat[upper] = buf
+    flat[upper] = buf.reshape(-1)
     if not real:  # on real entries the lower triangle equals the upper
         np.conjugate(off, out=off)
         np.add(off, zero, out=buf)
         buf /= scale
-    flat[lower] = buf
+    flat[lower] = buf.reshape(-1)
     diag = diag.astype(dtype)
     diag /= scale
-    flat[diagonal] = diag
+    flat[diagonal] = diag.reshape(-1)
     return x
+
+
+def sample_wigner(n, law, seed_key):
+    """One Hermitian sample X/sqrt(N), from the stream of ``seed_key`` = (seed, k, rep).
+
+    Equal keys give bit-identical samples, the same as in any block of
+    ``sample_wigners``.
+    """
+    seed, k, rep = seed_key
+    return sample_wigners(n, law, stream_keys(seed, k, [rep]))[0]

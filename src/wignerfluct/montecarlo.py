@@ -2,15 +2,17 @@
 
 Each replicate draws one matrix per Wigner id (shared across all monomials
 of the replicate, so joint covariances are meaningful) and records the
-traces.  Replicates run in blocks of about BLOCK_ELEMS matrix entries: the
-draws of a block, each from its own (seed, ensemble, replicate) stream, are
-stacked into (b, N, N) arrays; for N > 90 a block is one replicate, a view
-of its draw.  A block writes only its own slice of the output, so blocks
-run in any order: when a block is one replicate and the process may use
-more than one core, the calling thread and one helper thread per further
-core each run an interleaved share of the blocks (numpy releases the GIL
-in the sampler and the products).  Smaller blocks, whose cost is Python
-overhead, run in order on the calling thread.
+traces.  Replicates run in blocks of about BLOCK_ELEMS matrix entries; for
+N > 90 a block is one replicate.  Each replicate draws from its own
+(seed, ensemble, replicate) Philox stream, whose keys are computed for all
+replicates of an id before any block runs, and the (b, N, N) draws of one
+id in a block are one ``sample_wigners`` call on the block's keys.  A block
+writes only its own slice of the output, so blocks run in any order: when
+a block is one replicate and the process may use more than one core, the
+calling thread and one helper thread per further core each run an
+interleaved share of the blocks (numpy releases the GIL in the sampler and
+the products).  Smaller blocks, whose cost is Python overhead, run in order
+on the calling thread.
 Within a block the words run sorted by their Wigner ids, longer words
 last among those on the same ids.  An id is drawn when its first word
 needs it, and after its last word its draw and the block's products on it
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import sample_wigner
+from .ensembles import sample_wigners, stream_keys
 
 DEFAULT_BATCHES = 40
 # replicates empirical_cov needs: with two, both centered products are
@@ -100,15 +102,6 @@ def _trace_word(mono, xmats, family, cache):
     return family.trace_times(xmats[wid], letter)
 
 
-def _draws(n, law, master_seed, k, reps):
-    """The (b, N, N) stack of the draws of ensemble k for replicates ``reps``.
-
-    One replicate (every N > 90) is a view of its draw, not a copy.
-    """
-    mats = [sample_wigner(n, law, (master_seed, k, rep)) for rep in reps]
-    return mats[0][None] if len(mats) == 1 else np.stack(mats)
-
-
 def _cores():
     """The number of CPUs this process may run on."""
     try:
@@ -137,6 +130,8 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
             raise KeyError("no ensemble law supplied for Wigner id %r" % (wid,))
     if n * n * (len(wids) + 1) > 50_000_000:
         raise MemoryError("N and ensemble count exceed the memory guard")
+    # the stream keys of every replicate of each id, before the threads start
+    keys = {wid: stream_keys(master_seed, k, range(r)) for k, wid in enumerate(wids)}
     data = {mono: np.empty(r, dtype=complex) for mono in monomials}
     words = []
     for mono in data:
@@ -167,8 +162,8 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
             for mono, drop in zip(words, done):
                 for wid in mono.wigner_labels:
                     if wid not in xmats:
-                        xmats[wid] = _draws(
-                            n, ensembles[wid], master_seed, wids.index(wid), reps
+                        xmats[wid] = sample_wigners(
+                            n, ensembles[wid], keys[wid][reps.start:reps.stop]
                         )
                 data[mono][reps.start:reps.stop] = _trace_word(mono, xmats, family, cache)
                 if drop:

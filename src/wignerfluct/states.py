@@ -8,9 +8,10 @@ argument in both orders for ``phi_hadamard``.  ``phi_transpose(p, q)`` is
 ``phi`` of p followed by the reversed transposes of q.  On a miss the value
 is computed on the state's N x N family: the covariance needs the
 family's Hadamard functionals, not only its *-distribution.  The
-per-pairing evaluators read each pairing's Kreweras cycles and through
-splits.  Every word product, here and in Monte Carlo, is one
-``DetFamily.times`` call per letter.
+per-pairing products read each pairing's Kreweras cycles and through
+splits through ``CycleValues``, which asks the state once for each distinct
+cycle of one letter list, and looks it up after.  Every word product, here
+and in Monte Carlo, is one ``DetFamily.times`` call per letter.
 """
 
 from __future__ import annotations
@@ -199,14 +200,60 @@ class FiniteNState:
         return self.phi(list(letters_p) + rev)
 
 
+class CycleValues:
+    """Products over Kreweras cycles, each distinct cycle evaluated once.
+
+    For one letter list and pairings of one (m, n): ``phi`` of each cycle's
+    letter word, and ``phi_hadamard`` of each through cycle's (outer, inner)
+    split, are asked of ``state`` the first time the cycle is seen and
+    looked up after.  A product multiplies the same values in the same
+    order as asking ``state`` for each cycle.
+    """
+
+    def __init__(self, letters, state):
+        self._letters = letters
+        self._state = state
+        self._phi = {}
+        self._hadamard = {}  # keyed on the cycle: m fixes its split
+
+    def _word(self, points):
+        return [self._letters[i - 1] for i in points]
+
+    def _cycle_phi(self, cyc):
+        got = self._phi.get(cyc)
+        if got is None:
+            got = self._phi[cyc] = self._state.phi(self._word(cyc))
+        return got
+
+    def phi_K(self, pairing):
+        """Product over the cycles of K(sigma) of phi of the cycle's word."""
+        out = 1.0 + 0.0j
+        for cyc in pairing.kreweras_cycles:
+            out *= self._cycle_phi(cyc)
+        return out
+
+    def phi_tilde_K(self, pairing):
+        """``phi_K`` with each through cycle replaced by a Hadamard factor."""
+        out = 1.0 + 0.0j
+        for cyc, split in zip(pairing.kreweras_cycles, pairing.through_splits):
+            if split is None:
+                out *= self._cycle_phi(cyc)
+                continue
+            got = self._hadamard.get(cyc)
+            if got is None:
+                outer, inner = split
+                got = self._hadamard[cyc] = self._state.phi_hadamard(
+                    self._word(outer), self._word(inner)
+                )
+            out *= got
+        return out
+
+
 def eval_phi_K(pairing, letters, state):
     """Product over cycles of K(sigma) of phi of the cycle's letter word."""
     if len(letters) != pairing.size:
         raise ValueError("need m+n letters")
-    out = 1.0 + 0.0j
-    for cyc in pairing.kreweras_cycles:
-        out *= state.phi([letters[i - 1] for i in cyc])
-    return out
+    return CycleValues(letters, state).phi_K(pairing)
 
 
 def eval_phi_tilde_K(pairing, letters, state):
@@ -218,16 +265,7 @@ def eval_phi_tilde_K(pairing, letters, state):
         raise ValueError("phi_tilde requires 1 or 2 through strings")
     if len(letters) != pairing.size:
         raise ValueError("need m+n letters")
-    out = 1.0 + 0.0j
-    for cyc, split in zip(pairing.kreweras_cycles, pairing.through_splits):
-        if split is None:
-            out *= state.phi([letters[i - 1] for i in cyc])
-        else:
-            outer, inner = split
-            out *= state.phi_hadamard(
-                [letters[i - 1] for i in outer], [letters[i - 1] for i in inner]
-            )
-    return out
+    return CycleValues(letters, state).phi_tilde_K(pairing)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kreweras_oracles import disc_kreweras
-from wignerfluct.annular import _involutions
+from wignerfluct.annular import _involutions, enumerate_nc2, is_non_mixing
 from wignerfluct.covariance import (
     GOE,
     GUE,
@@ -35,7 +35,7 @@ from wignerfluct.states import (
     diagonal_pattern,
     random_fixed,
 )
-from wignerfluct.words import DetLetter, Monomial, Polynomial, parse_word
+from wignerfluct.words import DetLetter, Monomial, Polynomial, parse_word, s_transform
 
 IDENTITY_STATE = FiniteNState(DetFamily([np.eye(2)]))
 
@@ -364,3 +364,75 @@ def test_evaluation_reads_pairing_tables(monkeypatch):
     assert phi2_terms(odd, parse_word("x1 a1 x1 x1 a0 x1 x1"), params, state).s4 != 0
     assert first_order(parse_word("x1 a0 x1 a1 x1 x1"), params, state) != 0
     assert calls == []
+
+
+def _phi_K_reference(sigma, letters, state):
+    """The per-cycle loop of eval_phi_K before its cycle memo."""
+    out = 1.0 + 0.0j
+    for cyc in sigma.kreweras_cycles:
+        out *= state.phi([letters[i - 1] for i in cyc])
+    return out
+
+
+def _phi_tilde_K_reference(sigma, letters, state):
+    out = 1.0 + 0.0j
+    for cyc, split in zip(sigma.kreweras_cycles, sigma.through_splits):
+        if split is None:
+            out *= state.phi([letters[i - 1] for i in cyc])
+        else:
+            outer, inner = split
+            out *= state.phi_hadamard(
+                [letters[i - 1] for i in outer], [letters[i - 1] for i in inner]
+            )
+    return out
+
+
+def phi2_terms_reference(p, q, params, state):
+    """phi2_terms and phi2_two_term as one loop, asking state for every cycle."""
+    labels = p.wigner_labels + q.wigner_labels
+    letters = p.det_letters + q.det_letters
+    sq = s_transform(q)
+    labels_t = p.wigner_labels + sq.wigner_labels
+    letters_t = p.det_letters + sq.det_letters
+    s1, s2, s3, s4, two = [], [], [], [], []
+    for sigma in enumerate_nc2(p.degree, q.degree):
+        if is_non_mixing(sigma, labels):
+            s1.append(_phi_K_reference(sigma, letters, state))
+            two.append(s1[-1])
+            l = sigma.through_count
+            found = {labels[i - 1] for i, _ in sigma.through_strings()}
+            if l <= 2 and len(found) == 1:
+                par = params[found.pop()]
+                weight = par.k4 if l == 2 else par.eta - 1 - par.theta
+                if weight != 0:
+                    tilde = _phi_tilde_K_reference(sigma, letters, state)
+                    (s3 if l == 2 else s4).append(weight * tilde)
+                    if l == 2:
+                        two.append(par.k4 * tilde)
+        if is_non_mixing(sigma, labels_t):
+            theta_sigma = 1.0 + 0.0j
+            for i, _ in sigma.through_strings():
+                theta_sigma *= params[labels_t[i - 1]].theta
+            if theta_sigma != 0:
+                s2.append(theta_sigma * _phi_K_reference(sigma, letters_t, state))
+    csum = lambda v: complex(math.fsum(x.real for x in v), math.fsum(x.imag for x in v))
+    return [csum(s) for s in (s1, s2, s3, s4)], csum(two)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**31), EVEN_MONOMIALS, EVEN_MONOMIALS,
+       PARAMS, PARAMS, st.booleans())
+def test_phi2_terms_equal_the_per_cycle_loop(n, seed, p, q, par1, par2, odd):
+    # each distinct cycle is evaluated once; the totals are the same bits
+    if odd:  # odd degrees reach the one-through-string channel S4
+        p, q = Monomial(p.pairs[1:]), Monomial(q.pairs[1:])
+    fam = DetFamily([
+        diagonal_pattern(n, [1, -0.5, 2j]),
+        circulant(n, [0.5, 1]),
+        random_fixed(n, seed),
+    ])
+    params = {"1": par1, "2": par2}
+    want, want_two = phi2_terms_reference(p, q, params, FiniteNState(fam))
+    got = phi2_terms(p, q, params, FiniteNState(fam))
+    assert [got.s1, got.s2, got.s3, got.s4] == want
+    assert phi2_two_term(p, q, params, FiniteNState(fam)) == want_two

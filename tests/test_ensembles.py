@@ -23,11 +23,12 @@ from wignerfluct.ensembles import (
     goe_law,
     gue_law,
     is_real_law,
-    make_rng,
     params_of,
     rademacher_law,
     sample_wigner,
+    sample_wigners,
     solve_law,
+    stream_keys,
 )
 
 
@@ -160,12 +161,49 @@ def test_entry_moment_matches_numeric_expectation():
         assert float(entry_moment(law, p, q)) == pytest.approx(float(total), abs=1e-9)
 
 
+def reference_rng(seed_key):
+    """A Philox generator on SeedSequence(seed_key): the stream the sampler keys."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
+
+
 def test_make_rng_reproducible():
-    a = make_rng((1, 2, 3)).random(5)
-    b = make_rng((1, 2, 3)).random(5)
+    a = reference_rng((1, 2, 3)).random(5)
+    b = reference_rng((1, 2, 3)).random(5)
     np.testing.assert_array_equal(a, b)
-    c = make_rng((1, 2, 4)).random(5)
+    c = reference_rng((1, 2, 4)).random(5)
     assert not np.array_equal(a, c)
+    key = reference_rng((1, 2, 3)).bit_generator.state["state"]["key"]
+    np.testing.assert_array_equal(stream_keys(1, 2, [3]), [key])
+
+
+if HAVE_HYP:
+
+    @given(
+        seed=st.integers(0, 2**120 - 1),
+        k=st.integers(0, 2**40 - 1),
+        reps=st.lists(st.integers(0, 2**32 - 1), max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stream_keys_match_seed_sequence(seed, k, reps):
+        got = stream_keys(seed, k, reps)
+        assert got.dtype == np.uint64 and got.shape == (len(reps), 2)
+        for row, rep in zip(got, reps):
+            want = np.random.SeedSequence((seed, k, rep)).generate_state(2, np.uint64)
+            np.testing.assert_array_equal(row, want)
+
+
+def test_stream_keys_edge_words():
+    # a 0 is one word; 2**32 and up take more words, past the pool of four
+    for seed in (0, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3):
+        for k in (0, 1, 2**33):
+            reps = [0, 1, 2**32 - 1]
+            want = [np.random.SeedSequence((seed, k, rep)).generate_state(2, np.uint64)
+                    for rep in reps]
+            np.testing.assert_array_equal(stream_keys(seed, k, reps), want)
+    assert stream_keys(3, 0, []).shape == (0, 2)
+    for bad in ((-1, 0, [0]), (0, -1, [0]), (0, 0, [-1]), (0, 0, [2**32])):
+        with pytest.raises(ValueError):
+            stream_keys(*bad)
 
 
 def test_is_real_law():
@@ -213,7 +251,7 @@ def test_sample_wigner_golden_hash():
 
 def sample_wigner_reference(n, law, seed_key):
     """The sampler before its cached layout: scatter, X + X^H, divide."""
-    rng = make_rng(seed_key)
+    rng = reference_rng(seed_key)
     iu = np.triu_indices(n, k=1)
     k = iu[0].size
     real = is_real_law(law)
@@ -255,6 +293,32 @@ def test_sample_wigner_bytes_match_reference():
                 want = sample_wigner_reference(n, law, (6, 1, rep))
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (law, n, rep)
+
+
+# the laws of test_sample_wigner_bytes_match_reference, the -0.0 law among them
+BLOCK_LAWS = [PRESETS[name]() for name in sorted(PRESETS)] + [
+    solve_law(Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)),
+    solve_law(Fraction(-1, 2), Fraction(0), Fraction(3)),
+    EntryLaw(
+        "uv_discrete",
+        u=SymmetricDiscreteLaw(Fraction(0), Fraction(1, 2)),
+        v=SymmetricDiscreteLaw(Fraction(2), Fraction(1, 4)),
+        diag=SymmetricDiscreteLaw(Fraction(0), Fraction(1, 2)),
+    ),
+]
+
+
+@pytest.mark.parametrize("law", BLOCK_LAWS)
+def test_sample_wigners_block_bytes_match_single_draws(law):
+    for b in (1, 2, 7):
+        reps = range(4, 4 + b)
+        for n in (1, 2, 3, 8, 33):
+            got = sample_wigners(n, law, stream_keys(6, 1, reps))
+            want = np.stack([sample_wigner_reference(n, law, (6, 1, rep)) for rep in reps])
+            assert got.shape == (b, n, n) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (law, b, n)
+            for i, rep in enumerate(reps):
+                assert got[i].tobytes() == sample_wigner(n, law, (6, 1, rep)).tobytes()
 
 
 def test_sample_wigner_peak_memory():

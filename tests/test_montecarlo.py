@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerfluct import montecarlo
-from wignerfluct.ensembles import goe_law, gue_law, rademacher_law, sample_wigner, solve_law
+from wignerfluct.ensembles import (
+    goe_law,
+    gue_law,
+    rademacher_law,
+    sample_wigner,
+    sample_wigners,
+    solve_law,
+    stream_keys,
+)
 from wignerfluct.montecarlo import (
     DEFAULT_BATCHES,
     TraceSamples,
@@ -231,14 +239,14 @@ THREAD_LAWS = {"1": gue_law(), "2": goe_law(), "3": solve_law(Fraction(1, 3), 1,
 
 
 def _sample_threads(monkeypatch):
-    """Patch the sampler to record the threads that call it; returns their set."""
+    """Patch the block sampler to record the threads that call it; returns their set."""
     threads = set()
 
     def sample(*args):
         threads.add(threading.current_thread())
-        return sample_wigner(*args)
+        return sample_wigners(*args)
 
-    monkeypatch.setattr(montecarlo, "sample_wigner", sample)
+    monkeypatch.setattr(montecarlo, "sample_wigners", sample)
     return threads
 
 
@@ -285,14 +293,16 @@ def test_run_traces_raises_a_block_failure_and_joins_its_threads(monkeypatch, fa
     monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", n * n)
     monkeypatch.setattr(montecarlo, "_cores", lambda: 2)
     failed_in = []
+    # the stream keys of the failing replicate on each of the three ids
+    failing_keys = {tuple(stream_keys(5, k, [failing])[0]) for k in range(3)}
 
-    def sample(n, law, seed_key):
-        if seed_key[2] == failing:
+    def sample(n, law, keys):
+        if any(tuple(key) in failing_keys for key in keys):
             failed_in.append(threading.current_thread())
             raise ArithmeticError("replicate %d" % failing)
-        return sample_wigner(n, law, seed_key)
+        return sample_wigners(n, law, keys)
 
-    monkeypatch.setattr(montecarlo, "sample_wigner", sample)
+    monkeypatch.setattr(montecarlo, "sample_wigners", sample)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="replicate %d" % failing):
         run_traces(THREAD_WORDS, n, r, THREAD_LAWS, letter_family(n, 1), 5)
@@ -339,11 +349,10 @@ def test_draws_live_only_from_their_first_word_to_their_last(monkeypatch, block)
     draws = {}  # ensemble index -> weakref to its latest (b, N, N) draw
     ran = []
     checked = []
-    draw_stack = montecarlo._draws
 
-    def drawn(n, law, master_seed, k, reps):
-        got = draw_stack(n, law, master_seed, k, reps)
-        draws[k] = weakref.ref(got)
+    def drawn(n, law, keys):
+        got = sample_wigners(n, law, keys)
+        draws[list(THREAD_LAWS.values()).index(law)] = weakref.ref(got)
         return got
 
     trace_word = montecarlo._trace_word
@@ -361,7 +370,7 @@ def test_draws_live_only_from_their_first_word_to_their_last(monkeypatch, block)
                 checked.append(wid)
         return trace_word(mono, xmats, family, cache)
 
-    monkeypatch.setattr(montecarlo, "_draws", drawn)
+    monkeypatch.setattr(montecarlo, "sample_wigners", drawn)
     monkeypatch.setattr(montecarlo, "_trace_word", traced)
     got = run_traces(THREAD_WORDS, n, r, THREAD_LAWS, letter_family(n, 4), 9)
     assert set(checked) == set(wids)
@@ -390,6 +399,17 @@ def test_words_run_by_id_longer_last_holding_one_draw_at_a_time(monkeypatch):
     assert [(wid, degree) for wid, degree, _ in ran] == sorted(
         (m.wigner_labels[0], m.degree) for m in words
     )
+
+
+def test_run_traces_builds_one_generator_per_block(monkeypatch):
+    # N = 8 and R = 4000 in blocks of 256: 16 blocks on each of the two ids
+    n, r = 8, 4000
+    monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", 2**14)
+    words = [parse_word("x1 a1"), parse_word("x1 x2")]
+    laws = {"1": gue_law(), "2": rademacher_law()}
+    with mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as made:
+        run_traces(words, n, r, laws, family(n), 6)
+    assert made.call_count == 2 * 16
 
 
 def test_degree_zero_monomial_constant():
