@@ -14,9 +14,12 @@ enough to hit any admissible (theta, eta, k4) with theta in [-1, 1].
 Sampling is counter-based: the matrix of ensemble k in replicate rep of a
 run with seed s draws from the Philox stream that SeedSequence((s, k, rep))
 keys.  ``stream_keys`` computes those keys for many replicates at once with
-SeedSequence's own hash, and ``sample_wigners`` draws a block of matrices
-in one call, re-keying one generator per matrix, so every matrix has the
-same bytes in any block, ``sample_wigner``'s block of one included.
+SeedSequence's own hash, and ``fill_wigners`` draws a block of matrices in
+one call into buffers it is given, re-keying one generator per matrix, so
+every matrix has the same bytes in any block and any buffer.  Its scratch
+is one buffer of the block's bytes, which a caller may reuse from draw to
+draw.  ``sample_wigners`` allocates both buffers and fills them, and
+``sample_wigner`` is its block of one.
 """
 
 from __future__ import annotations
@@ -69,14 +72,27 @@ class SymmetricDiscreteLaw:
     def variance(self):
         return self.moment(2)
 
-    def atoms(self, u):
-        """The values of a*s at uniforms u: -a below p, a below 2p, else 0."""
-        a = math.sqrt(float(self.a2))
+    def atoms(self, u, below):
+        """Overwrite uniforms u with the values of a*s: -a below p, a below 2p, else 0.
+
+        ``below`` is a bool array of u's shape for the draw's own use.  The
+        values are c*a for c = [u < 2p] - [u < p] - [u < p], so a zero atom
+        below p is -0.0, as it is in ``sample``.  Arithmetic on the masks,
+        not a masked write: those branch on random masks and run ~5x slower.
+        """
         pr = float(self.p)
-        return np.where(u < pr, -a, np.where(u < 2.0 * pr, a, 0.0))
+        np.less(u, pr, out=below)
+        np.less(u, 2.0 * pr, out=u)
+        u -= below
+        u -= below
+        u *= math.sqrt(float(self.a2))
 
     def sample(self, rng, size):
-        return self.atoms(rng.random(size))
+        """The values of a*s at ``size`` fresh uniforms, the reference for ``atoms``."""
+        a = math.sqrt(float(self.a2))
+        pr = float(self.p)
+        u = rng.random(size)
+        return np.where(u < pr, -a, np.where(u < 2.0 * pr, a, 0.0))
 
 
 @dataclass(frozen=True)
@@ -302,19 +318,19 @@ def stream_keys(seed, k, reps):
 
 @functools.lru_cache(maxsize=8)
 def _hermitian_layout(n):
-    """Flat positions of the strict upper triangle, its mirror and the diagonal.
+    """Flat positions of the strict upper triangle and of its mirror.
 
     Read-only, cached per N: the sampler scatters into them on every call.
     """
     i, j = np.triu_indices(n, k=1)
-    layout = (i * n + j, j * n + i, np.arange(n) * (n + 1))
+    layout = (i * n + j, j * n + i)
     for pos in layout:
         pos.setflags(write=False)
     return layout
 
 
-def _draw_rows(method, sizes, keys):
-    """Row i of each (b, size) array: the variates of the stream of key i.
+def _draw_rows(method, rows, keys):
+    """Fill row i of each (b, size) array with the variates of the stream of key i.
 
     One generator serves the block.  For each key it is set to the start of
     that key's stream, the state a Philox built on the key has, and
@@ -322,7 +338,6 @@ def _draw_rows(method, sizes, keys):
     """
     bitgen = np.random.Philox(0)  # any key: each stream sets its own
     draw = getattr(np.random.Generator(bitgen), method)
-    rows = [np.empty((len(keys), size)) for size in sizes]
     # plain ints: the state setter reads them about twice as fast as arrays
     counter = (0, 0, 0, 0)
     state = {
@@ -337,7 +352,83 @@ def _draw_rows(method, sizes, keys):
         bitgen.state = state
         for out in rows:
             draw(out=out[i])
-    return rows
+
+
+def _view(buffer, start, shape, dtype):
+    """The array of ``shape`` and ``dtype`` at byte ``start`` of a uint8 buffer."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape) * dtype.itemsize
+    return buffer[start:start + size].view(dtype).reshape(shape)
+
+
+def wigner_dtype(law):
+    """The dtype of a law's draws: float for real laws, complex else."""
+    return np.dtype(float if is_real_law(law) else complex)
+
+
+def fill_wigners(x, scratch, law, keys):
+    """Draw the samples of ``sample_wigners(N, law, keys)`` into the stack ``x``.
+
+    ``x`` is a (b, N, N) array of ``wigner_dtype(law)`` and ``scratch`` a
+    uint8 array of at least ``x.nbytes`` bytes, whose contents the draw
+    overwrites.  The scratch holds two (b, N(N-1)/2) arrays of x's dtype,
+    then the b N diagonal variates.  The off-diagonal variate rows are drawn
+    into the second array; ``off`` and ``buf`` use both arrays once the rows
+    are spent.  The bool masks of discrete laws live in ``x``, which nothing
+    else has written yet.
+    """
+    b, n = len(keys), x.shape[-1]
+    upper, lower = _hermitian_layout(n)
+    k = upper.size
+    if b > 1:  # the positions in each matrix of the (b, N, N) stack, in turn
+        start = np.arange(b)[:, None] * (n * n)
+        upper, lower = [(start + pos).reshape(-1) for pos in (upper, lower)]
+    real = x.dtype.kind == "f"
+    part = b * k * x.itemsize
+    first = _view(scratch, 0, (b, k), x.dtype)
+    second = _view(scratch, part, (b, k), x.dtype)
+    # per replicate: the off-diagonal real parts, the imaginary parts of a
+    # complex law, then the diagonal
+    rows = [second] if real else [
+        _view(scratch, part + i * part // 2, (b, k), float) for i in (0, 1)
+    ]
+    rows.append(_view(scratch, 2 * part, (b, n), float))
+    if law.kind == "uv_discrete":
+        _draw_rows("random", rows, keys)
+        below = _view(x.reshape(-1).view(np.uint8), 0, (b, max(k, n)), bool)
+        parts = [law.u, law.diag] if real else [law.u, law.v, law.diag]
+        for atoms, row in zip(parts, rows):
+            atoms.atoms(row, below[:, :row.shape[1]])
+    else:
+        _draw_rows("standard_normal", rows, keys)
+        rows[-1] *= math.sqrt(float(law.diag_variance))
+    scale = math.sqrt(n)
+    # entry by entry the same operations as summing X + X^H and dividing
+    # the matrix, so that the bytes do not depend on the layout: the upper
+    # triangle gains conj(0) and the lower 0, which fixes the signs of zero
+    # parts, and a complex array over a real scalar is a complex division,
+    # so the diagonal is cast before it is divided
+    diag = x.reshape(b, n * n)[:, ::n + 1]
+    np.copyto(diag, rows[-1])
+    diag /= scale
+    if real:
+        off, buf = second, first
+    else:
+        off, buf = first, second
+        np.multiply(1j, rows[1], out=off)
+        np.add(rows[0], off, out=off)
+        if law.kind != "uv_discrete":
+            off /= math.sqrt(2)
+    zero = np.zeros(1, dtype=x.dtype)
+    flat = x.reshape(-1)
+    np.add(off, zero.conj(), out=buf)
+    buf /= scale
+    flat[upper] = buf.reshape(-1)
+    if not real:  # on real entries the lower triangle equals the upper
+        np.conjugate(off, out=off)
+        np.add(off, zero, out=buf)
+        buf /= scale
+    flat[lower] = buf.reshape(-1)
 
 
 def sample_wigners(n, law, keys):
@@ -347,55 +438,11 @@ def sample_wigners(n, law, keys):
     the (b, N, N) stack, sample i drawn from the stream of key i alone, so a
     sample's bytes do not depend on the block it is drawn in.  Real-valued
     laws give float arrays (symmetric), which speeds up the downstream
-    matrix products.  The scaled draws are written straight into their
-    upper, lower and diagonal positions, with flat indices into the stack.
+    matrix products.  The stack and a scratch buffer of its size are new
+    arrays, which ``fill_wigners`` fills: the draw peaks at twice the stack.
     """
-    b = len(keys)
-    upper, lower, diagonal = _hermitian_layout(n)
-    k = upper.size
-    if b > 1:  # the positions in each matrix of the (b, N, N) stack, in turn
-        start = np.arange(b)[:, None] * (n * n)
-        upper, lower, diagonal = [(start + pos).reshape(-1) for pos in (upper, lower, diagonal)]
-    real = is_real_law(law)
-    # per replicate: the off-diagonal real parts, the imaginary parts of a
-    # complex law, then the diagonal
-    sizes = [k, n] if real else [k, k, n]
-    if law.kind == "uv_discrete":
-        rows = _draw_rows("random", sizes, keys)
-        off = law.u.atoms(rows[0])
-        if not real:
-            off = off + 1j * law.v.atoms(rows[1])
-        diag = law.diag.atoms(rows[-1])
-    else:
-        rows = _draw_rows("standard_normal", sizes, keys)
-        off = rows[0]
-        if not real:
-            off = (off + 1j * rows[1]) / math.sqrt(2)
-        diag = rows[-1] * math.sqrt(float(law.diag_variance))
-    del rows  # before the matrix is made, or the uniforms and normals add to its peak
-    dtype = float if real else complex
-    scale = math.sqrt(n)
-    zero = np.zeros(1, dtype=dtype)
-    x = np.empty((b, n, n), dtype=dtype)
-    flat = x.reshape(-1)
-    # entry by entry the same operations as summing X + X^H and dividing
-    # the matrix, so that the bytes do not depend on the layout: the upper
-    # triangle gains conj(0) and the lower 0, which fixes the signs of zero
-    # parts, and a complex array over a real scalar is a complex division,
-    # so the diagonal is cast before it is divided.  Each triangle is built
-    # in one buffer and divided in place, so the draw peaks at the matrix,
-    # ``off`` and that buffer.
-    buf = off + zero.conj()
-    buf /= scale
-    flat[upper] = buf.reshape(-1)
-    if not real:  # on real entries the lower triangle equals the upper
-        np.conjugate(off, out=off)
-        np.add(off, zero, out=buf)
-        buf /= scale
-    flat[lower] = buf.reshape(-1)
-    diag = diag.astype(dtype)
-    diag /= scale
-    flat[diagonal] = diag.reshape(-1)
+    x = np.empty((len(keys), n, n), dtype=wigner_dtype(law))
+    fill_wigners(x, np.empty(x.nbytes, dtype=np.uint8), law, keys)
     return x
 
 

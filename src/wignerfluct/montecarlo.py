@@ -4,24 +4,29 @@ Each replicate draws one matrix per Wigner id (shared across all monomials
 of the replicate, so joint covariances are meaningful) and records the
 traces.  Replicates run in blocks of about BLOCK_ELEMS matrix entries; for
 N > 90 a block is one replicate.  Each replicate draws from its own
-(seed, ensemble, replicate) Philox stream, whose keys are computed for all
-replicates of an id before any block runs, and the (b, N, N) draws of one
-id in a block are one ``sample_wigners`` call on the block's keys.  A block
-writes only its own slice of the output, so blocks run in any order: when
-a block is one replicate and the process may use more than one core, the
-calling thread and one helper thread per further core each run an
-interleaved share of the blocks (numpy releases the GIL in the sampler and
-the products).  Smaller blocks, whose cost is Python overhead, run in order
+(seed, ensemble, replicate) Philox stream, and the (b, N, N) draws of one
+id in a block are one ``fill_wigners`` call on the block's keys, computed
+as the block runs.  A block writes only its own slice of the output, so
+blocks run in any order: when a block is one replicate and the process
+may use more than one core, the calling thread and one helper thread per
+further core each run an interleaved share of the blocks (numpy releases
+the GIL in the sampler and the products).  Smaller blocks, whose cost is Python overhead, run in order
 on the calling thread.
 Within a block the words run sorted by their Wigner ids, longer words
 last among those on the same ids.  An id is drawn when its first word
 needs it, and after its last word its draw and the block's products on it
-are dropped, so a block holds the draws of about one id at a time.  The
-trace of a word of k >= 2 factors X_w A is one contraction of two
+are dropped, so a block holds the draws of about one id at a time.
+Each thread keeps a pool of raw byte slabs of one size, the bytes of a
+complex (b, N, N) stack (``_Slabs``).  The draws, the sampler's scratch,
+the gathers and the half-products take their slabs from it, and a dropped
+draw or product gives its slab back, so after a thread's first block no
+large array gets fresh pages.  The pool lives in one call, on one thread,
+and nothing in ``TraceSamples`` refers to it.
+The trace of a word of k >= 2 factors X_w A is one contraction of two
 half-products, the first ceil(k/2) factors and the rest.  Each half is
 split the same way and cached for the block on its factor tuple, so equal
 halves and the halves that words share are computed once, and a single
-factor is one ``DetFamily.times`` product.  A one-factor word is one
+factor is one ``DetFamily.times_into`` product.  A one-factor word is one
 ``DetFamily.trace_times`` call: on a letter with at most one nonzero per
 column, the identity among them, it sums the entries of X that the letter
 picks, without forming X A.
@@ -31,13 +36,14 @@ matching the limiting bilinear form; standard errors use batch means.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import sample_wigners, stream_keys
+from .ensembles import fill_wigners, stream_keys, wigner_dtype
 
 DEFAULT_BATCHES = 40
 # replicates empirical_cov needs: with two, both centered products are
@@ -63,40 +69,74 @@ class TraceSamples:
             raise KeyError("no trace samples recorded for %s" % (mono,))
 
 
-def _product(pairs, xmats, family, cache):
+class _Slabs:
+    """One thread's pool of raw byte slabs of one size, reused block after block.
+
+    ``take`` hands out a slab and ``give`` takes it back.  ``array`` lends
+    a slab as an array, and ``release`` gives back the slabs behind the
+    arrays it lent, each once, however many of the arrays share it.
+    """
+
+    def __init__(self, nbytes):
+        self.nbytes = nbytes
+        self.free = []
+        self.lent = {}  # id -> slab, of the slabs behind lent arrays
+
+    def take(self):
+        return self.free.pop() if self.free else np.empty(self.nbytes, dtype=np.uint8)
+
+    def give(self, slab):
+        self.free.append(slab)
+
+    def array(self, shape, dtype):
+        slab = self.take()
+        self.lent[id(slab)] = slab
+        dtype = np.dtype(dtype)
+        return slab[:math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
+
+    def release(self, arrays):
+        """Give back the slabs behind ``arrays``; other arrays are left alone."""
+        for arr in arrays:
+            slab = self.lent.pop(id(arr if arr.base is None else arr.base), None)
+            if slab is not None:
+                self.give(slab)
+
+
+def _product(pairs, xmats, family, cache, empty):
     """The (b, N, N) product of the factors X_w A of ``pairs``, cached for the block.
 
-    One factor is ``family.times(X_w, A)``.  More are the product of the
-    first ceil(k/2) factors and the rest, each found the same way.
+    One factor is ``family.times_into(X_w, A, empty)``.  More are the product
+    of the first ceil(k/2) factors and the rest, each found the same way,
+    multiplied into the array ``empty(shape, dtype)``.
     """
     got = cache.get(pairs)
     if got is None:
         if len(pairs) == 1:
             (wid, letter), = pairs
-            got = family.times(xmats[wid], letter)
+            got = family.times_into(xmats[wid], letter, empty)
         else:
             h = (len(pairs) + 1) // 2
-            got = np.matmul(
-                _product(pairs[:h], xmats, family, cache),
-                _product(pairs[h:], xmats, family, cache),
-            )
+            first = _product(pairs[:h], xmats, family, cache, empty)
+            rest = _product(pairs[h:], xmats, family, cache, empty)
+            got = np.matmul(first, rest, out=empty(first.shape, np.result_type(first, rest)))
         cache[pairs] = got
     return got
 
 
-def _trace_word(mono, xmats, family, cache):
+def _trace_word(mono, xmats, family, cache, empty):
     """Traces of the alternating word X_w1 A_1 ... X_wk A_k over a block.
 
     ``xmats`` maps Wigner ids to (b, N, N) stacks of draws, and ``cache``
-    holds the block's products (see ``_product``).  Returns the b traces.
+    holds the block's products (see ``_product``), made in arrays that
+    ``empty(shape, dtype)`` gives.  Returns the b traces.
     """
     pairs = mono.pairs
     if len(pairs) > 1:
         h = (len(pairs) + 1) // 2
         return np.einsum(
             "bij,bji->b",
-            _product(pairs[:h], xmats, family, cache),
-            _product(pairs[h:], xmats, family, cache),
+            _product(pairs[:h], xmats, family, cache, empty),
+            _product(pairs[h:], xmats, family, cache, empty),
         )
     (wid, letter), = pairs
     return family.trace_times(xmats[wid], letter)
@@ -130,8 +170,7 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
             raise KeyError("no ensemble law supplied for Wigner id %r" % (wid,))
     if n * n * (len(wids) + 1) > 50_000_000:
         raise MemoryError("N and ensemble count exceed the memory guard")
-    # the stream keys of every replicate of each id, before the threads start
-    keys = {wid: stream_keys(master_seed, k, range(r)) for k, wid in enumerate(wids)}
+    index = {wid: k for k, wid in enumerate(wids)}
     data = {mono: np.empty(r, dtype=complex) for mono in monomials}
     words = []
     for mono in data:
@@ -154,7 +193,16 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
                 family.operand(letter)
     block = max(1, BLOCK_ELEMS // (n * n))
 
-    def run_blocks(starts):
+    def draw(wid, reps, slabs):
+        """The (b, N, N) draws of an id over a block, in a slab of ``slabs``."""
+        law = ensembles[wid]
+        x = slabs.array((len(reps), n, n), wigner_dtype(law))
+        scratch = slabs.take()
+        fill_wigners(x, scratch, law, stream_keys(master_seed, index[wid], reps))
+        slabs.give(scratch)
+        return x
+
+    def run_blocks(starts, slabs):
         for start in starts:
             reps = range(start, min(start + block, r))
             xmats = {}
@@ -162,17 +210,13 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
             for mono, drop in zip(words, done):
                 for wid in mono.wigner_labels:
                     if wid not in xmats:
-                        xmats[wid] = sample_wigners(
-                            n, ensembles[wid], keys[wid][reps.start:reps.stop]
-                        )
-                data[mono][reps.start:reps.stop] = _trace_word(mono, xmats, family, cache)
+                        xmats[wid] = draw(wid, reps, slabs)
+                traces = _trace_word(mono, xmats, family, cache, slabs.array)
+                data[mono][reps.start:reps.stop] = traces
                 if drop:
-                    for wid in drop:
-                        del xmats[wid]
-                    cache = {
-                        pairs: got for pairs, got in cache.items()
-                        if drop.isdisjoint(wid for wid, _ in pairs)
-                    }
+                    stale = [p for p in cache if not drop.isdisjoint(wid for wid, _ in p)]
+                    # no name keeps a dropped array: its slab is overwritten next
+                    slabs.release([xmats.pop(wid) for wid in drop] + [cache.pop(p) for p in stale])
 
     # plain threads: importing concurrent.futures alone adds 0.6 MB of
     # resident memory to every command, including those at small N
@@ -181,8 +225,8 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
     errors = []
 
     def run_share(share):
-        try:
-            run_blocks(share)
+        try:  # each thread draws and multiplies in slabs of its own pool
+            run_blocks(share, _Slabs(block * n * n * np.dtype(complex).itemsize))
         except BaseException as exc:  # raised again on the calling thread
             errors.append(exc)
 

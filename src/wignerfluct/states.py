@@ -11,7 +11,8 @@ family's Hadamard functionals, not only its *-distribution.  The
 per-pairing products read each pairing's Kreweras cycles and through
 splits through ``CycleValues``, which asks the state once for each distinct
 cycle of one letter list, and looks it up after.  Every word product, here
-and in Monte Carlo, is one ``DetFamily.times`` call per letter.
+and in Monte Carlo, is one ``DetFamily.times_into`` call per letter: Monte
+Carlo passes its pool's allocator, and ``times`` passes ``np.empty``.
 """
 
 from __future__ import annotations
@@ -102,15 +103,24 @@ class DetFamily:
 
         ``mat`` may be a (b, N, N) stack, multiplied slice by slice.
         """
+        return self.times_into(mat, letter, np.empty)
+
+    def times_into(self, mat, letter, empty):
+        """``times``, with a gather's product in the array ``empty(shape, dtype)``.
+
+        Dense letters give a new array ``mat @ A``, and the identity ``mat``.
+        """
         if letter.is_identity:
             return mat
         op = self.operand(letter)
         if not isinstance(op, tuple):
             return mat @ op
         rows, weights = op
-        out = mat.take(rows, axis=-1)
-        if out.dtype.kind == "f" and weights.dtype.kind == "c":
-            return out * weights  # a real gather cannot hold complex weights
+        if mat.dtype.kind == "f" and weights.dtype.kind == "c":
+            # a real gather cannot hold complex weights
+            return np.multiply(mat.take(rows, axis=-1), weights, out=empty(mat.shape, complex))
+        # the rows are in range: "raise" would gather into a new buffer first
+        out = np.take(mat, rows, axis=-1, out=empty(mat.shape, mat.dtype), mode="clip")
         out *= weights  # in place: one N x N buffer, not two
         return out
 

@@ -340,10 +340,9 @@ def test_sample_wigner_second_moment():
     # E[Tr X^2] = N - 1 + eta for any unit-variance law
     for law, eta in [(gue_law(), 1.0), (goe_law(), 2.0), (rademacher_law(), 1.0)]:
         n, reps = 30, 400
-        vals = [
-            np.trace(sample_wigner(n, law, (11, 0, r)) @ sample_wigner(n, law, (11, 0, r))).real
-            for r in range(reps)
-        ]
+        # one stream_keys call for all replicates; the draws are sample_wigner's
+        xs = sample_wigners(n, law, stream_keys(11, 0, range(reps)))
+        vals = [np.trace(x @ x).real for x in xs]
         got = np.mean(vals)
         want = n - 1 + eta
         se = np.std(vals) / math.sqrt(reps)

@@ -1,6 +1,8 @@
 import functools
 import random
+import resource
 import threading
+import tracemalloc
 import weakref
 from fractions import Fraction
 from unittest import mock
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from wignerfluct import montecarlo
 from wignerfluct.ensembles import (
+    fill_wigners,
     goe_law,
     gue_law,
     rademacher_law,
@@ -94,13 +97,12 @@ def _trace_word_reference(mono, xmats, family, cache):
 def run_traces_reference(words, n, r, ensembles, family, master_seed):
     """The per-replicate loop of run_traces before blocks: {word: traces}."""
     wids = sorted({w for mono in words for w in mono.wigner_labels})
+    # the keys of all replicates in one call; the draws are sample_wigner's
+    keys = {wid: stream_keys(master_seed, k, range(r)) for k, wid in enumerate(wids)}
     data = {mono: np.empty(r, dtype=complex) for mono in words}
     for rep in range(r):
         cache = {}
-        xmats = {
-            wid: sample_wigner(n, ensembles[wid], (master_seed, k, rep))
-            for k, wid in enumerate(wids)
-        }
+        xmats = {wid: sample_wigners(n, ensembles[wid], keys[wid][rep:rep + 1])[0] for wid in wids}
         for mono in words:
             data[mono][rep] = _trace_word_reference(mono, xmats, family, cache)
     return data
@@ -244,9 +246,9 @@ def _sample_threads(monkeypatch):
 
     def sample(*args):
         threads.add(threading.current_thread())
-        return sample_wigners(*args)
+        return fill_wigners(*args)
 
-    monkeypatch.setattr(montecarlo, "sample_wigners", sample)
+    monkeypatch.setattr(montecarlo, "fill_wigners", sample)
     return threads
 
 
@@ -296,13 +298,13 @@ def test_run_traces_raises_a_block_failure_and_joins_its_threads(monkeypatch, fa
     # the stream keys of the failing replicate on each of the three ids
     failing_keys = {tuple(stream_keys(5, k, [failing])[0]) for k in range(3)}
 
-    def sample(n, law, keys):
+    def sample(x, scratch, law, keys):
         if any(tuple(key) in failing_keys for key in keys):
             failed_in.append(threading.current_thread())
             raise ArithmeticError("replicate %d" % failing)
-        return sample_wigners(n, law, keys)
+        return fill_wigners(x, scratch, law, keys)
 
-    monkeypatch.setattr(montecarlo, "sample_wigners", sample)
+    monkeypatch.setattr(montecarlo, "fill_wigners", sample)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="replicate %d" % failing):
         run_traces(THREAD_WORDS, n, r, THREAD_LAWS, letter_family(n, 1), 5)
@@ -350,14 +352,13 @@ def test_draws_live_only_from_their_first_word_to_their_last(monkeypatch, block)
     ran = []
     checked = []
 
-    def drawn(n, law, keys):
-        got = sample_wigners(n, law, keys)
-        draws[list(THREAD_LAWS.values()).index(law)] = weakref.ref(got)
-        return got
+    def drawn(x, scratch, law, keys):
+        fill_wigners(x, scratch, law, keys)
+        draws[list(THREAD_LAWS.values()).index(law)] = weakref.ref(x)
 
     trace_word = montecarlo._trace_word
 
-    def traced(mono, xmats, family, cache):
+    def traced(mono, xmats, family, cache, empty):
         if len(ran) == len(THREAD_WORDS):
             ran.clear()  # a new block
         ran.append(mono)
@@ -368,9 +369,9 @@ def test_draws_live_only_from_their_first_word_to_their_last(monkeypatch, block)
             if k in draws:
                 assert draws[k]() is None, "draw of %s alive at %s" % (wid, mono)
                 checked.append(wid)
-        return trace_word(mono, xmats, family, cache)
+        return trace_word(mono, xmats, family, cache, empty)
 
-    monkeypatch.setattr(montecarlo, "sample_wigners", drawn)
+    monkeypatch.setattr(montecarlo, "fill_wigners", drawn)
     monkeypatch.setattr(montecarlo, "_trace_word", traced)
     got = run_traces(THREAD_WORDS, n, r, THREAD_LAWS, letter_family(n, 4), 9)
     assert set(checked) == set(wids)
@@ -388,9 +389,9 @@ def test_words_run_by_id_longer_last_holding_one_draw_at_a_time(monkeypatch):
     ran = []
     trace_word = montecarlo._trace_word
 
-    def traced(mono, xmats, family, cache):
+    def traced(mono, xmats, family, cache, empty):
         ran.append((mono.wigner_labels[0], mono.degree, len(xmats)))
-        return trace_word(mono, xmats, family, cache)
+        return trace_word(mono, xmats, family, cache, empty)
 
     monkeypatch.setattr(montecarlo, "_trace_word", traced)
     run_traces(words, n, 3, THREAD_LAWS, letter_family(n, 4), 9)
@@ -410,6 +411,81 @@ def test_run_traces_builds_one_generator_per_block(monkeypatch):
     with mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as made:
         run_traces(words, n, r, laws, family(n), 6)
     assert made.call_count == 2 * 16
+
+
+# words that share halves within a word and across words, on three ids, one
+# real: X X, X^4 and X^6 share X X, and two words share (X1 A1)(X1 A2)
+POOL_WORDS = THREAD_WORDS + tuple(parse_word(t) for t in (
+    "x2 x2 x2 x2 x2 x2", "x1 a1 x1 a2", "x1 a1 x1 a2 x1 a1 x1 a2", "x1 a1 x1 a2 x3 a3",
+))
+
+
+def test_released_slabs_are_never_read(monkeypatch):
+    # every slab that comes back to a pool is filled with NaN: a draw or a
+    # product read after its release would spoil the traces
+    n, r = 91, 5  # N > 90: blocks of one replicate, on threads
+    fam = letter_family(n, 8)
+    runs = {}
+    for poisoned in (False, True):
+        if poisoned:
+            give = montecarlo._Slabs.give
+
+            def give_nan(self, slab):
+                slab.view(np.float64).fill(np.nan)
+                give(self, slab)
+
+            monkeypatch.setattr(montecarlo._Slabs, "give", give_nan)
+        for cores in (1, 2):
+            monkeypatch.setattr(montecarlo, "_cores", lambda: cores)
+            runs[poisoned, cores] = run_traces(POOL_WORDS, n, r, THREAD_LAWS, fam, 13)
+    want = run_traces_reference(POOL_WORDS, n, r, THREAD_LAWS, fam, 13)
+    for mono in POOL_WORDS:
+        for key, got in runs.items():
+            np.testing.assert_array_equal(
+                got.traces(mono), runs[False, 1].traces(mono), err_msg=str(key)
+            )
+        np.testing.assert_allclose(runs[True, 2].traces(mono), want[mono], rtol=1e-12, atol=1e-12)
+
+
+# the criterion-7 words on the complex laws of N400_LAWS, one id each
+POOL_N400_WORDS = tuple(parse_word(t) for t in ("x1 a0", "x1 a1 x1 a1", "x2 a0"))
+POOL_N400_LAWS = {"1": N400_LAWS["designed"], "2": N400_LAWS["gue"]}
+
+
+def test_minor_faults_per_replicate_at_n400(monkeypatch):
+    # after a thread's first block, its draws, the sampler's scratch and the
+    # products reuse the slabs of its pool: no fresh pages.  A pool lives for
+    # one call, so the faults per replicate are the difference of two calls
+    n = 400
+    monkeypatch.setattr(montecarlo, "_cores", lambda: 1)
+    fam = DetFamily([diagonal_pattern(n, [1, -1]), circulant(n, [0, 1])])
+    run_traces(POOL_N400_WORDS, n, 2, POOL_N400_LAWS, fam, 1234)  # operands, layout
+
+    def faults(r):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_traces(POOL_N400_WORDS, n, r, POOL_N400_LAWS, fam, 1234)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    per_replicate = (faults(10) - faults(2)) / 8
+    assert per_replicate < 100, per_replicate
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_run_traces_peak_memory_is_its_pools(monkeypatch, cores):
+    # these words hold two slabs a thread at a time: a draw and its scratch,
+    # or a draw and its product with A1
+    n = 400
+    monkeypatch.setattr(montecarlo, "_cores", lambda: cores)
+    fam = DetFamily([diagonal_pattern(n, [1, -1]), circulant(n, [0, 1])])
+    run_traces(POOL_N400_WORDS, n, 2, POOL_N400_LAWS, fam, 1234)  # operands, layout
+    tracemalloc.start()
+    try:
+        run_traces(POOL_N400_WORDS, n, 6, POOL_N400_LAWS, fam, 1234)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slab = n * n * np.dtype(complex).itemsize
+    assert peak < (2 * cores + 0.25) * slab, peak / slab
 
 
 def test_degree_zero_monomial_constant():

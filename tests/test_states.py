@@ -409,7 +409,7 @@ def test_times_matches_dense_products(n, seed, pairs):
     cache = {}
     # the second pass reads every factor from the per-block cache
     for _ in range(2):
-        got = _trace_word(mono, xmats, fam, cache)
+        got = _trace_word(mono, xmats, fam, cache, np.empty)
         assert got.shape == (2,)
         for rep in range(2):
             want = np.eye(n, dtype=complex)
