@@ -11,25 +11,24 @@ with l >= 1 through strings puts l spoke endpoints on each circle, leaves
 an even gap between consecutive endpoints, pairs each gap non-crossingly
 as a line, and joins the spokes in one of l rotations with the circles in
 opposite orientations.  A disc of k points is the (k, 0)-annulus, and its
-pairings are built as the gaps are.  Each pairing, on the disc or the
-annulus, carries its Kreweras cycles, the through split of each cycle
-(``None`` for a cycle on one circle) and its through count as tuples,
-computed once per process; this module alone decides which cycles are
-through cycles.  The brute-force sweep over involutions with the genus count
-is kept only as a test oracle.
+pairings are built as the gaps are.  ``pairing_table`` holds all pairings of
+one annulus or disc as arrays, with their distinct Kreweras cycles and the
+through split of each, computed once per process in array passes; the sums
+over pairings read only it.  An ``AnnularPairing`` computes its own cycles,
+for the single-pairing API and as the tests' oracle.  The brute-force sweep
+over involutions with the genus count is kept only as a test oracle.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
-DEFAULT_SIZE_LIMIT = 18
+import numpy as np
 
-# One shared copy of each Kreweras cycle: pairings of one annulus repeat
-# most of their cycles, and each pairing keeps its cycles for the process.
-_CYCLES = {}
+DEFAULT_SIZE_LIMIT = 18
 
 
 @dataclass(frozen=True)
@@ -168,8 +167,7 @@ class AnnularPairing:
     @cached_property
     def kreweras_cycles(self):
         """The cycles of ``kreweras(self)``, as a tuple."""
-        cycles = _cycles(_kreweras_map(self.match, (self.m, self.n)))
-        return tuple([_CYCLES.setdefault(c, c) for c in cycles])
+        return tuple(_cycles(_kreweras_map(self.match, (self.m, self.n))))
 
     @cached_property
     def through_splits(self):
@@ -313,16 +311,20 @@ def _circle_fillings(points, l):
             yield endpoints, partial
 
 
-@lru_cache(maxsize=None)
-def _enumerate_nc2_cached(m, n):
+def _nc2_matches(m, n):
+    """Sorted match lists of the (m, n)-annulus, or of the m-point disc if n == 0."""
     size = m + n
-    if size % 2:
-        return ()
+    matches = []
+    if not n:
+        for pairs in _line_pairings(m):  # in this order
+            matches.append([0] * (size + 1))
+            for a, b in pairs:
+                matches[-1][a + 1], matches[-1][b + 1] = b + 1, a + 1
+        return matches
     outer = range(1, m + 1)
     inner = range(m + 1, size + 1)
-    matches = []
     # m - l and n - l are even; m + n is even, so m % 2 fixes the parity
-    for l in range(2 - m % 2, min(m, n) + 1, 2):
+    for l in range(2 - m % 2, min(m, n) + 1, 2) if size % 2 == 0 else ():
         inner_fillings = list(_circle_fillings(inner, l))
         for out_ends, out_partial in _circle_fillings(outer, l):
             for in_ends, in_partial in inner_fillings:
@@ -336,9 +338,66 @@ def _enumerate_nc2_cached(m, n):
                     for j, a in enumerate(out_ends):
                         b = in_ends[(r - j) % l]
                         match[a], match[b] = b, a
-                    matches.append(tuple(match))
+                    matches.append(match)
     matches.sort()
-    return tuple(_built_pairing(m, n, match) for match in matches)
+    return matches
+
+
+# Row r is the r-th pairing by match: ``matches`` (int8), ``row_cycles[r]``
+# its Kreweras cycles by increasing minimum, as indices into ``cycles``,
+# ``splits`` each distinct cycle's through split (None on one circle), and
+# ``through[r, i - 1]`` whether outer position i ends a through string.
+PairingTable = namedtuple("PairingTable", "matches cycles splits row_cycles through")
+
+
+@lru_cache(maxsize=None)
+def pairing_table(m, n):
+    """The ``PairingTable`` of the (m, n)-annulus, or of the m-point disc if n == 0.
+
+    Array passes over all rows: each point's orbit minimum under sigma *
+    gamma by pointer doubling, then each cycle walked from its minimum into
+    one integer of 5-bit point digits (a genus-0 cycle has at most
+    size / 2 + 1 <= 10 points, each below 32), and the integers deduplicated.
+    """
+    size = m + n
+    if size > DEFAULT_SIZE_LIMIT:
+        what = "m+n" if n else "k"
+        raise ValueError("%s=%d exceeds enumeration cap %d" % (what, size, DEFAULT_SIZE_LIMIT))
+    match = np.array(_nc2_matches(m, n), dtype=np.int8).reshape(-1, size + 1)
+    gam, code = _gamma_map((m, n) if n else (m,)), [np.zeros(0, dtype=np.uint64)]
+    # chunks of 10**4 points: no temporary reaches malloc's mmap threshold
+    for part in np.array_split(match, -(-match.size // 10**4)) if len(match) else ():
+        # flat index of each point's successor i -> match[gamma(i)]; 0 is fixed
+        succ = (part[:, gam] + np.arange(0, part.size, size + 1, dtype=np.int32)[:, None]).ravel()
+        point = np.tile(np.arange(size + 1, dtype=np.int8), len(part))
+        low, step = point, succ
+        for _ in range(size.bit_length()):
+            low, step = np.minimum(low, low[step]), step[step]
+        start = np.flatnonzero((low == point) & (point > 0))  # row by row
+        code.append(np.zeros(len(start), dtype=np.uint64))
+        at, home = start, start - point[start]
+        for shift in range(0, 5 * (size // 2 + 1), 5):
+            code[-1] |= point[at].astype(np.uint64) << np.uint64(shift)
+            at = np.where(succ[at] == start, home, succ[at])  # back at the minimum: to 0
+    found = {}  # not np.unique: its sort kernels add 0.6 MB of resident code
+    index = [found.setdefault(c, len(found)) for c in np.concatenate(code).tolist()]
+    found = np.array(list(found), dtype=np.uint64)
+    digits = (found[:, None] >> np.arange(0, 55, 5, dtype=np.uint64)) & np.uint64(31)
+    cycles = tuple([tuple(filter(None, c)) for c in digits.tolist()])
+    # a through cycle starts on the outer circle: inner from k, outer again from e
+    inner = digits > m
+    ks = inner.argmax(axis=1)
+    es = (~inner & (np.arange(11) > ks[:, None])).argmax(axis=1)
+    splits = [(c[e:] + c[:k], c[k:e]) if k else None
+              for c, k, e in zip(cycles, ks.tolist(), es.tolist())]
+    index = np.array(index, dtype=np.min_scalar_type(len(cycles)))
+    rows = index.reshape(len(match), -1 if len(match) else 0)
+    return PairingTable(match, cycles, tuple(splits), rows, match[:, 1:m + 1] > m)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_nc2_cached(m, n):
+    return tuple([_built_pairing(m, n, tuple(p)) for p in pairing_table(m, n).matches.tolist()])
 
 
 def _built_pairing(m, n, match):
@@ -360,10 +419,6 @@ def enumerate_nc2(m, n):
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    if m + n > DEFAULT_SIZE_LIMIT:
-        raise ValueError(
-            "m+n=%d exceeds enumeration cap %d" % (m + n, DEFAULT_SIZE_LIMIT)
-        )
     return list(_enumerate_nc2_cached(m, n))
 
 
@@ -405,13 +460,7 @@ def is_non_mixing(pairing, labels):
 
 @lru_cache(maxsize=None)
 def _enumerate_nc2_disc_cached(k):
-    out = []
-    for pairs in _line_pairings(k):
-        match = [0] * (k + 1)
-        for a, b in pairs:
-            match[a + 1], match[b + 1] = b + 1, a + 1
-        out.append(_built_pairing(k, 0, tuple(match)))
-    return tuple(out)
+    return _enumerate_nc2_cached(k, 0)
 
 
 def enumerate_nc2_disc(k):
@@ -421,6 +470,4 @@ def enumerate_nc2_disc(k):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > DEFAULT_SIZE_LIMIT:
-        raise ValueError("k=%d exceeds enumeration cap %d" % (k, DEFAULT_SIZE_LIMIT))
     return list(_enumerate_nc2_disc_cached(k))

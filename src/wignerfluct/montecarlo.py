@@ -5,8 +5,9 @@ of the replicate, so joint covariances are meaningful) and records the
 traces.  Replicates run in blocks of about BLOCK_ELEMS matrix entries; for
 N > 90 a block is one replicate.  Each replicate draws from its own
 (seed, ensemble, replicate) Philox stream, and the (b, N, N) draws of one
-id in a block are one ``fill_wigners`` call on the block's keys, computed
-as the block runs.  A block writes only its own slice of the output, so
+id in a block are one ``fill_wigners`` call on the block's keys; a thread
+computes an id's keys for up to KEY_CHUNK replicates of its blocks in one
+``stream_keys`` call.  A block writes only its own slice of the output, so
 blocks run in any order: when a block is one replicate and the process
 may use more than one core, the calling thread and one helper thread per
 further core each run an interleaved share of the blocks (numpy releases
@@ -54,6 +55,7 @@ MIN_COV_REPLICATES = 3
 # memory alone (one block of all R = 4000 at N = 8, 2**18 entries, raised
 # the peak resident memory of that run by about a fifth)
 BLOCK_ELEMS = 2**14
+KEY_CHUNK = 256  # replicates of a thread's share whose keys one call computes
 
 
 @dataclass
@@ -193,24 +195,29 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
                 family.operand(letter)
     block = max(1, BLOCK_ELEMS // (n * n))
 
-    def draw(wid, reps, slabs):
-        """The (b, N, N) draws of an id over a block, in a slab of ``slabs``."""
+    def draw(wid, keys, slabs):
+        """The (b, N, N) draws of an id on b keys, in a slab of ``slabs``."""
         law = ensembles[wid]
-        x = slabs.array((len(reps), n, n), wigner_dtype(law))
+        x = slabs.array((len(keys), n, n), wigner_dtype(law))
         scratch = slabs.take()
-        fill_wigners(x, scratch, law, stream_keys(master_seed, index[wid], reps))
+        fill_wigners(x, scratch, law, keys)
         slabs.give(scratch)
         return x
 
     def run_blocks(starts, slabs):
-        for start in starts:
+        per = max(1, KEY_CHUNK // block)  # blocks whose keys one call computes
+        for b, start in enumerate(starts):
             reps = range(start, min(start + block, r))
+            if b % per == 0:
+                chunk = [i for s in starts[b:b + per] for i in range(s, min(s + block, r))]
+                keys = {wid: stream_keys(master_seed, index[wid], chunk) for wid in wids}
+            at = b % per * block
             xmats = {}
             cache = {}
             for mono, drop in zip(words, done):
                 for wid in mono.wigner_labels:
                     if wid not in xmats:
-                        xmats[wid] = draw(wid, reps, slabs)
+                        xmats[wid] = draw(wid, keys[wid][at:at + len(reps)], slabs)
                 traces = _trace_word(mono, xmats, family, cache, slabs.array)
                 data[mono][reps.start:reps.stop] = traces
                 if drop:

@@ -1,18 +1,18 @@
 """Concrete deterministic families and the functionals phi, phi_hadamard, phi_t.
 
 One state class, ``FiniteNState``, evaluates the functionals the covariance
-sum needs and memoizes them as scalars.  A call looks up its words' factor
-tuples as given; a computed value is stored once under every equivalent
-key: every rotation of the word for ``phi``, both transposes of each
-argument in both orders for ``phi_hadamard``.  ``phi_transpose(p, q)`` is
-``phi`` of p followed by the reversed transposes of q.  On a miss the value
-is computed on the state's N x N family: the covariance needs the
-family's Hadamard functionals, not only its *-distribution.  The
-per-pairing products read each pairing's Kreweras cycles and through
-splits through ``CycleValues``, which asks the state once for each distinct
-cycle of one letter list, and looks it up after.  Every word product, here
-and in Monte Carlo, is one ``DetFamily.times_into`` call per letter: Monte
-Carlo passes its pool's allocator, and ``times`` passes ``np.empty``.
+sum needs and memoizes them as scalars under every equivalent key: every
+rotation of the word for ``phi``, both transposes of each argument in both
+orders for ``phi_hadamard``.  A miss is computed on the state's N x N family
+(the covariance needs its Hadamard functionals, not only its
+*-distribution), on one representative of its class, a letter per factor:
+the least rotation, or of each argument and its transpose the one with
+fewer transposed factors, in sorted order: no value depends on which key,
+or pair, came first.  ``phi_transpose(p, q)`` is ``phi`` of p followed by
+the reversed transposes of q.  ``CycleValues`` asks the state once for each
+distinct Kreweras cycle of one letter list.  Every word product, here and
+in Monte Carlo, is one ``DetFamily.times_into`` call per letter: Monte Carlo
+passes its pool's allocator, and ``times`` passes ``np.empty``.
 """
 
 from __future__ import annotations
@@ -150,30 +150,13 @@ def _word_key(letters):
     return tuple(f for letter in letters for f in letter.factors)
 
 
-def _store_phi(table, key, value):
-    """Store a phi value under every rotation of its word: trace is cyclic."""
-    for i in range(len(key)):
-        table[key[i:] + key[:i]] = value
-
-
-def _store_hadamard(table, ka, kb, value):
-    """Store a phi_hadamard value under each argument and its transpose.
-
-    Both argument orders are stored: a word and its transpose have the same
-    diagonal, and the entry-wise product commutes.
-    """
-    for a in (ka, DetLetter(ka).transpose().factors):
-        for b in (kb, DetLetter(kb).transpose().factors):
-            table[a, b] = table[b, a] = value
-
-
 class FiniteNState:
     """The one state: phi, phi_hadamard and phi_transpose, memoized.
 
     phi is the normalized trace, phi_hadamard the normalized trace of the
     entry-wise product (which only sees diagonals), phi_transpose the
-    normalized trace of p q^t.  Values are computed on ``family`` the first
-    time a key is seen.
+    normalized trace of p q^t.  Values are computed on ``family`` on a
+    class's first miss, on its one representative.
     """
 
     def __init__(self, family):
@@ -191,18 +174,24 @@ class FiniteNState:
             return 1.0 + 0.0j
         got = self._phi.get(key)
         if got is None:
-            got = complex(np.trace(self.family.word_matrix(letters)) / self.N)
-            _store_phi(self._phi, key, got)
+            rotations = [key[i:] + key[:i] for i in range(len(key))]
+            word = [DetLetter((f,)) for f in min(rotations)]
+            got = complex(np.trace(self.family.word_matrix(word)) / self.N)
+            self._phi.update(dict.fromkeys(rotations, got))
         return got
 
     def phi_hadamard(self, letters_p, letters_q):
         ka, kb = _word_key(letters_p), _word_key(letters_q)
         got = self._hadamard.get((ka, kb))
         if got is None:
-            p = self.family.word_matrix(letters_p)
-            q = self.family.word_matrix(letters_q)
+            # a word and its transpose share a diagonal: take the one with fewer t flags
+            pa, pb = [(k, DetLetter(k).transpose().factors) for k in (ka, kb)]
+            least = sorted(min(t, key=lambda k: (sum(f[2] for f in k), k)) for t in (pa, pb))
+            p, q = [self.family.word_matrix([DetLetter((f,)) for f in k]) for k in least]
             got = complex(np.sum(np.diagonal(p) * np.diagonal(q)) / self.N)
-            _store_hadamard(self._hadamard, ka, kb, got)
+            for a in pa:
+                for b in pb:
+                    self._hadamard[a, b] = self._hadamard[b, a] = got
         return got
 
     def phi_transpose(self, letters_p, letters_q):
@@ -211,51 +200,33 @@ class FiniteNState:
 
 
 class CycleValues:
-    """Products over Kreweras cycles, each distinct cycle evaluated once.
+    """Kreweras cycle values of one letter list, each asked of ``state`` once.
 
-    For one letter list and pairings of one (m, n): ``phi`` of each cycle's
-    letter word, and ``phi_hadamard`` of each through cycle's (outer, inner)
-    split, are asked of ``state`` the first time the cycle is seen and
-    looked up after.  A product multiplies the same values in the same
-    order as asking ``state`` for each cycle.
+    ``value`` is ``phi`` of a cycle's letter word, or ``phi_hadamard`` of its
+    (outer, inner) split when one is given; for one (m, n), m fixes a
+    cycle's split.
     """
 
     def __init__(self, letters, state):
         self._letters = letters
         self._state = state
-        self._phi = {}
-        self._hadamard = {}  # keyed on the cycle: m fixes its split
+        self._values = {}  # (cycle, split is None) -> value
 
     def _word(self, points):
         return [self._letters[i - 1] for i in points]
 
-    def _cycle_phi(self, cyc):
-        got = self._phi.get(cyc)
-        if got is None:
-            got = self._phi[cyc] = self._state.phi(self._word(cyc))
-        return got
+    def value(self, cyc, split=None):
+        key = (cyc, split is None)
+        if key not in self._values:
+            self._values[key] = self._state.phi(self._word(cyc)) if split is None else (
+                self._state.phi_hadamard(self._word(split[0]), self._word(split[1])))
+        return self._values[key]
 
-    def phi_K(self, pairing):
-        """Product over the cycles of K(sigma) of phi of the cycle's word."""
+    def product(self, cycles, splits=None):
+        """Product of the cycles' values, left to right, as Python multiplies."""
         out = 1.0 + 0.0j
-        for cyc in pairing.kreweras_cycles:
-            out *= self._cycle_phi(cyc)
-        return out
-
-    def phi_tilde_K(self, pairing):
-        """``phi_K`` with each through cycle replaced by a Hadamard factor."""
-        out = 1.0 + 0.0j
-        for cyc, split in zip(pairing.kreweras_cycles, pairing.through_splits):
-            if split is None:
-                out *= self._cycle_phi(cyc)
-                continue
-            got = self._hadamard.get(cyc)
-            if got is None:
-                outer, inner = split
-                got = self._hadamard[cyc] = self._state.phi_hadamard(
-                    self._word(outer), self._word(inner)
-                )
-            out *= got
+        for cyc, split in zip(cycles, splits or [None] * len(cycles)):
+            out *= self.value(cyc, split)
         return out
 
 
@@ -263,7 +234,7 @@ def eval_phi_K(pairing, letters, state):
     """Product over cycles of K(sigma) of phi of the cycle's letter word."""
     if len(letters) != pairing.size:
         raise ValueError("need m+n letters")
-    return CycleValues(letters, state).phi_K(pairing)
+    return CycleValues(letters, state).product(pairing.kreweras_cycles)
 
 
 def eval_phi_tilde_K(pairing, letters, state):
@@ -275,7 +246,7 @@ def eval_phi_tilde_K(pairing, letters, state):
         raise ValueError("phi_tilde requires 1 or 2 through strings")
     if len(letters) != pairing.size:
         raise ValueError("need m+n letters")
-    return CycleValues(letters, state).phi_tilde_K(pairing)
+    return CycleValues(letters, state).product(pairing.kreweras_cycles, pairing.through_splits)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +273,8 @@ def circulant(n, first_row):
         raise ValueError("first row longer than dimension")
     row = np.zeros(n, dtype=complex)
     row[: len(first_row)] = np.asarray(first_row, dtype=complex)
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        out[i] = np.roll(row, i)
-    return out
+    # in rows of n + 1, row k of the repeated row is it rolled by -k
+    return np.tile(row, n + 1).reshape(n, n + 1)[-np.arange(n), :n]
 
 
 def projection(n, rank_fraction):

@@ -10,6 +10,7 @@ from wignerfluct.annular import (
     _genus_zero,
     _involutions,
     _through_pairs,
+    _through_split,
     enumerate_nc2,
     enumerate_nc2_disc,
     filter_by_through,
@@ -18,6 +19,7 @@ from wignerfluct.annular import (
     is_annular_noncrossing_recursive,
     is_non_mixing,
     kreweras,
+    pairing_table,
 )
 
 from kreweras_oracles import disc_kreweras, through_cycles
@@ -169,6 +171,47 @@ def test_pairing_tables_match_kreweras():
                 assert splits == through_cycles(k, m, n)
                 # one through cycle of K(sigma) per through string of sigma
                 assert p.through_count == len(splits)
+
+
+def assert_table_matches_kreweras(m, n):
+    """Each table row against its pairing's point-by-point Kreweras cycles."""
+    table = pairing_table(m, n)
+    pairings = enumerate_nc2(m, n) if n else enumerate_nc2_disc(m)
+    assert [p.match for p in pairings] == [tuple(row) for row in table.matches.tolist()]
+    assert len(set(table.cycles)) == len(table.cycles) == len(table.splits)
+    through_counts = table.through.sum(axis=1).tolist()
+    for p, row, through in zip(pairings, table.row_cycles.tolist(), through_counts):
+        cycles = kreweras(p).cycles
+        assert [table.cycles[c] for c in row] == cycles
+        assert [table.splits[c] for c in row] == [_through_split(c, m) for c in cycles]
+        assert through == p.through_count
+
+
+@pytest.mark.parametrize("total", range(2, 13))
+def test_annulus_tables_match_kreweras(total):
+    for m in range(1, total):
+        assert_table_matches_kreweras(m, total - m)
+
+
+@pytest.mark.parametrize("m, n", [(7, 7), (8, 6), (9, 9)])
+def test_large_annulus_tables_match_kreweras(m, n):
+    assert_table_matches_kreweras(m, n)
+
+
+def test_disc_tables_match_kreweras():
+    for k in range(13):
+        assert_table_matches_kreweras(k, 0)
+        assert not pairing_table(k, 0).through.any()
+
+
+def test_tables_are_cached_and_capped():
+    assert pairing_table(7, 7) is pairing_table(7, 7)
+    assert len(pairing_table(7, 7).matches) == 2800
+    assert len(pairing_table(3, 2).matches) == 0  # odd: no pairing
+    with pytest.raises(ValueError, match="m\\+n=19 exceeds enumeration cap 18"):
+        pairing_table(10, 9)
+    with pytest.raises(ValueError, match="k=20 exceeds enumeration cap 18"):
+        pairing_table(20, 0)
 
 
 def test_through_cycles_split():

@@ -229,6 +229,26 @@ def test_theory_command(tmp_path):
     assert total == pytest.approx(row["total"]["re"])
 
 
+def test_theory_rows_do_not_depend_on_pair_order(tmp_path):
+    # the pairs share one state; on this pair order the S1 of ("x1 a1",
+    # "x1 a0*") once moved in the last bit when the other pair ran first
+    pairs = [["x1 a1* x1 a0*", "x1 a1 a0 x1 a1"], ["x1 a1", "x1 a0*"]]
+    doc = base_config()
+    doc["ensembles"]["1"] = {"theta": 0.5, "eta": 2, "k4": 1}
+    doc["family"]["matrices"] = [
+        {"kind": "random_fixed", "seed": 3},
+        {"kind": "circulant", "first_row": [0.5, 0.25, 1]},
+    ]
+    doc["N"] = 5
+    rows = []
+    for order in (pairs, pairs[::-1]):
+        doc["pairs"] = order
+        out = tmp_path / "theory.json"
+        assert main(["theory", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        rows.append(json.loads(out.read_text())["theory"]["5"])
+    assert rows[0] == rows[1][::-1]
+
+
 def test_mc_command_with_csv(tmp_path):
     cfg = write_config(tmp_path, base_config())
     out = tmp_path / "mc.json"

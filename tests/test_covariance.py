@@ -7,6 +7,7 @@ for low-degree words and against the exact finite-N partition oracle.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,3 +437,54 @@ def test_phi2_terms_equal_the_per_cycle_loop(n, seed, p, q, par1, par2, odd):
     got = phi2_terms(p, q, params, FiniteNState(fam))
     assert [got.s1, got.s2, got.s3, got.s4] == want
     assert phi2_two_term(p, q, params, FiniteNState(fam)) == want_two
+
+
+def rotated(mono, k):
+    """The monomial rotated by k (Wigner, letter) pairs: its trace is the same."""
+    k %= mono.degree
+    return Monomial(mono.pairs[k:] + mono.pairs[:k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**31), EVEN_MONOMIALS, EVEN_MONOMIALS,
+       PARAMS, PARAMS, st.integers(0, 7), st.integers(0, 7))
+def test_terms_do_not_depend_on_the_pairs_before(n, seed, p, q, par1, par2, j, k):
+    # one state serves every pair of a command.  The pair (q, p) rotated asks
+    # for the classes of (p, q) in other rotations; each is computed on one
+    # representative, whichever pair asks first, so the bits are the same
+    fam = DetFamily([
+        diagonal_pattern(n, [1, -0.5, 2j]),
+        circulant(n, [0.5, 1]),
+        random_fixed(n, seed),
+    ])
+    params = {"1": par1, "2": par2}
+    first, second = (p, q), (rotated(q, j), rotated(p, k))
+    for a, b in (first, second), (second, first):
+        alone = phi2_terms(*b, params, FiniteNState(fam))
+        state = FiniteNState(fam)
+        phi2_terms(*a, params, state)
+        assert phi2_terms(*b, params, state) == alone
+
+
+def test_cold_phi2_terms_peak_memory():
+    # a cold 7+7 phi2_terms, with the pairing table built in the call: the
+    # per-pairing loop, which built 2800 AnnularPairing objects and their
+    # cycle tuples, peaked at 3.12 MB under tracemalloc; the table at 2.0 MB
+    from wignerfluct import annular
+
+    fam = DetFamily([diagonal_pattern(8, [1, -1, 0.5]), circulant(8, [0.5, 0.5])])
+    params = {"1": WignerParams(0.5, 2.0, 1.0)}
+    p = parse_word("x1 a0 x1 a1 x1 a0 x1 a1 x1 a0 x1 a1 x1 a0")
+    q = parse_word("x1 a1 x1 a0 x1 a1 x1 a1 x1 a0 x1 a1 x1 a1")
+    phi2_terms(p, parse_word("x1 a1 x1 a0 x1"), params, FiniteNState(fam))  # first calls
+    annular.pairing_table.cache_clear()
+    annular._enumerate_nc2_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        terms = phi2_terms(p, q, params, FiniteNState(fam))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms.s1 != 0 and terms.s4 != 0
+    assert annular._enumerate_nc2_cached.cache_info().currsize == 0  # no pairing objects
+    assert peak < 2.6e6, peak

@@ -413,6 +413,34 @@ def test_run_traces_builds_one_generator_per_block(monkeypatch):
     assert made.call_count == 2 * 16
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_stream_keys_once_per_id_and_thread_share(monkeypatch, cores):
+    # N = 400: blocks of one replicate.  Each thread computes an id's keys for
+    # up to KEY_CHUNK replicates of its share in one call, and slices them
+    n, r = 400, 30
+    monkeypatch.setattr(montecarlo, "_cores", lambda: cores)
+    calls = []
+
+    def counted(seed, k, reps):
+        calls.append((k, len(reps)))
+        return stream_keys(seed, k, reps)
+
+    runs = {}
+    for keys in (stream_keys, counted):
+        monkeypatch.setattr(montecarlo, "stream_keys", keys)
+        runs[keys] = run_traces(POOL_N400_WORDS, n, r, POOL_N400_LAWS, family(n), 1234)
+    assert sorted(calls) == sorted((k, r // cores) for k in (0, 1) for _ in range(cores))
+    for mono in POOL_N400_WORDS:
+        np.testing.assert_array_equal(runs[counted].traces(mono), runs[stream_keys].traces(mono))
+    # a share of more than KEY_CHUNK replicates takes one call per chunk
+    monkeypatch.setattr(montecarlo, "KEY_CHUNK", 8)
+    del calls[:]
+    got = run_traces(POOL_N400_WORDS, n, r, POOL_N400_LAWS, family(n), 1234)
+    assert len(calls) == 2 * cores * -(-r // cores // 8)
+    for mono in POOL_N400_WORDS:
+        np.testing.assert_array_equal(got.traces(mono), runs[stream_keys].traces(mono))
+
+
 # words that share halves within a word and across words, on three ids, one
 # real: X X, X^4 and X^6 share X X, and two words share (X1 A1)(X1 A2)
 POOL_WORDS = THREAD_WORDS + tuple(parse_word(t) for t in (

@@ -185,6 +185,24 @@ def test_builders_shapes():
     np.testing.assert_allclose(random_fixed(6, seed=3), r)
 
 
+def circulant_by_rolls(n, first_row):
+    """Row i is the zero-padded first row rolled right by i."""
+    row = np.zeros(n, dtype=complex)
+    row[: len(first_row)] = first_row
+    return np.array([np.roll(row, i) for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 400])
+def test_circulant_matches_the_roll_construction(n):
+    rng = np.random.default_rng(n)
+    for k in sorted({1, (n + 1) // 2, n}):
+        first_row = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        got = circulant(n, first_row)
+        np.testing.assert_array_equal(got, circulant_by_rolls(n, first_row))
+        assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+    np.testing.assert_array_equal(circulant(n, [2]), 2 * np.eye(n))
+
+
 def test_family_from_json():
     doc = {
         "dim": 4,
