@@ -10,7 +10,6 @@ from .annular import (
     AnnularPairing,
     CyclePermutation,
     enumerate_nc2,
-    enumerate_nc2_disc,
     filter_by_through,
     gamma,
     is_annular_noncrossing,
@@ -23,11 +22,7 @@ from .covariance import (
     GUE,
     RADEMACHER,
     WignerParams,
-    conjugate_cov,
-    first_order,
-    first_order_poly,
     phi2,
-    phi2_poly,
     phi2_terms,
     phi2_two_term,
 )
@@ -76,7 +71,6 @@ from .words import (
     DetLetter,
     IDENTITY_LETTER,
     Monomial,
-    Polynomial,
     canonicalize,
     parse_word,
     s_transform,

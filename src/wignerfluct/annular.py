@@ -10,11 +10,10 @@ The pairings are built, not searched for (Mingo-Nica, IMRN 2004).  One
 with l >= 1 through strings puts l spoke endpoints on each circle, leaves
 an even gap between consecutive endpoints, pairs each gap non-crossingly
 as a line, and joins the spokes in one of l rotations with the circles in
-opposite orientations.  A disc of k points is the (k, 0)-annulus, and its
-pairings are built as the gaps are.  ``pairing_table`` holds all pairings of
-one annulus or disc as arrays, with their distinct Kreweras cycles and the
-through split of each, computed once per process in array passes; the sums
-over pairings read only it.  An ``AnnularPairing`` computes its own cycles,
+opposite orientations.  ``pairing_table`` holds all pairings of one
+annulus as arrays, with their distinct Kreweras cycles and the through
+split of each, computed once per process in array passes; the sums over
+pairings read only it.  An ``AnnularPairing`` computes its own cycles,
 for the single-pairing API and as the tests' oracle.  The brute-force sweep
 over involutions with the genus count is kept only as a test oracle.
 """
@@ -131,22 +130,14 @@ def _through_pairs(match, m, n):
 
 @dataclass(frozen=True)
 class AnnularPairing:
-    """A non-crossing pairing of the (m, n)-annulus with >= 1 through string.
-
-    A disc pairing of k points is a (k, 0)-annulus one, with none.
-    """
+    """A non-crossing pairing of the (m, n)-annulus with >= 1 through string."""
 
     m: int
     n: int
     match: tuple
 
     def __post_init__(self):
-        if self.n:
-            ok = is_annular_noncrossing(self.match, self.m, self.n)
-        else:  # a disc; the empty pairing has no point to cross
-            _check_involution(self.match, self.m)
-            ok = not self.m or _genus_zero(self.match, (self.m,))
-        if not ok:
+        if not is_annular_noncrossing(self.match, self.m, self.n):
             raise ValueError("pairing is not annular non-crossing")
 
     @property
@@ -189,8 +180,7 @@ def is_annular_noncrossing(match, m, n):
     and it is non-crossing exactly when its genus g is 0.  With
     #(sigma) = (m+n)/2 and #(gamma) = 2 this reads 2 #(sigma gamma) = m + n.
     At least one through string is required, which makes the action
-    transitive.  The disc is the same count with one circle of k points:
-    2 #(sigma gamma) = k + 2.
+    transitive.
     """
     _check_involution(match, m + n)
     if not _through_pairs(match, m, n):
@@ -312,15 +302,9 @@ def _circle_fillings(points, l):
 
 
 def _nc2_matches(m, n):
-    """Sorted match lists of the (m, n)-annulus, or of the m-point disc if n == 0."""
+    """Sorted match lists of the (m, n)-annulus."""
     size = m + n
     matches = []
-    if not n:
-        for pairs in _line_pairings(m):  # in this order
-            matches.append([0] * (size + 1))
-            for a, b in pairs:
-                matches[-1][a + 1], matches[-1][b + 1] = b + 1, a + 1
-        return matches
     outer = range(1, m + 1)
     inner = range(m + 1, size + 1)
     # m - l and n - l are even; m + n is even, so m % 2 fixes the parity
@@ -352,7 +336,7 @@ PairingTable = namedtuple("PairingTable", "matches cycles splits row_cycles thro
 
 @lru_cache(maxsize=None)
 def pairing_table(m, n):
-    """The ``PairingTable`` of the (m, n)-annulus, or of the m-point disc if n == 0.
+    """The ``PairingTable`` of the (m, n)-annulus, for m, n >= 1.
 
     Array passes over all rows: each point's orbit minimum under sigma *
     gamma by pointer doubling, then each cycle walked from its minimum into
@@ -361,10 +345,9 @@ def pairing_table(m, n):
     """
     size = m + n
     if size > DEFAULT_SIZE_LIMIT:
-        what = "m+n" if n else "k"
-        raise ValueError("%s=%d exceeds enumeration cap %d" % (what, size, DEFAULT_SIZE_LIMIT))
+        raise ValueError("m+n=%d exceeds enumeration cap %d" % (size, DEFAULT_SIZE_LIMIT))
     match = np.array(_nc2_matches(m, n), dtype=np.int8).reshape(-1, size + 1)
-    gam, code = _gamma_map((m, n) if n else (m,)), [np.zeros(0, dtype=np.uint64)]
+    gam, code = _gamma_map((m, n)), [np.zeros(0, dtype=np.uint64)]
     # chunks of 10**4 points: no temporary reaches malloc's mmap threshold
     for part in np.array_split(match, -(-match.size // 10**4)) if len(match) else ():
         # flat index of each point's successor i -> match[gamma(i)]; 0 is fixed
@@ -456,18 +439,3 @@ def is_non_mixing(pairing, labels):
     if len(labels) != pairing.size:
         raise ValueError("labels must have length m+n")
     return list(labels) == [labels[j - 1] for j in pairing.match[1:]]
-
-
-@lru_cache(maxsize=None)
-def _enumerate_nc2_disc_cached(k):
-    return _enumerate_nc2_cached(k, 0)
-
-
-def enumerate_nc2_disc(k):
-    """Non-crossing pairings of a single k-cycle (Catalan(k/2) of them).
-
-    Each is a (k, 0)-annulus ``AnnularPairing``, sorted by match.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return list(_enumerate_nc2_disc_cached(k))

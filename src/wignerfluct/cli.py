@@ -29,8 +29,8 @@ need R >= 3: the batch-means standard error of two replicates is 0.
 ``oracle --dump-partitions`` names each partition of the walk by its
 restricted growth string, such as ``0.1.1.0``.
 
-Exit codes: 0 ok, 1 discrepancy (compare and report), 2 config, input or
-resource error.
+Exit codes: 0 ok, 1 discrepancy (compare and report), 2 config, input,
+output or resource error.
 """
 
 from __future__ import annotations
@@ -367,45 +367,49 @@ def _oracle_value(cfg, family, p, q):
     return exact_tau2(p, q, family, cfg.laws)
 
 
-def _oracle_rows(cfg, n, dump_path):
+def _oracle_rows(cfg, n):
     family = cfg.family(n)
     rows = []
-    dump_rows = []
     for p, q in cfg.pairs:
         value = _oracle_value(cfg, family, p, q)
         if value is None:
             rows.append({"p": str(p), "q": str(q), "skipped": "caps exceeded"})
             continue
         rows.append({"p": str(p), "q": str(q), "value": _c2j(value)})
-        if dump_path and p.degree and q.degree:
-            # the dump rows are the terms of exact_tau2's walk
-            joint = build_cycle_graph([p, q])
-            for rgs, g, w2 in weighted_partitions(joint, cfg.laws, 2):
-                rep = classify(g)
-                dump_rows.append(
-                    [
-                        str(p), str(q), ".".join(map(str, rgs)),
-                        float(sum(c.q1 for c in rep.components)),
-                        sum(c.q2 for c in rep.components),
-                        float(sum(c.q2p for c in rep.components)),
-                        ";".join(c.kind for c in rep.components),
-                        float(w2),
-                    ]
-                )
-    if dump_path:
-        with open(dump_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["p", "q", "partition", "q1", "q2", "q2p", "kinds", "omega_x2"])
-            w.writerows(dump_rows)
     return rows
+
+
+def _dump_partitions(cfg, runs, path):
+    """The terms of exact_tau2's walk, once for each pair with a value at some N."""
+    dump_rows = []
+    for i, (p, q) in enumerate(cfg.pairs):
+        if not (p.degree and q.degree and any("value" in rows[i] for rows in runs)):
+            continue
+        joint = build_cycle_graph([p, q])
+        for rgs, g, w2 in weighted_partitions(joint, cfg.laws, 2):
+            rep = classify(g)
+            dump_rows.append(
+                [
+                    str(p), str(q), ".".join(map(str, rgs)),
+                    float(sum(c.q1 for c in rep.components)),
+                    sum(c.q2 for c in rep.components),
+                    float(sum(c.q2p for c in rep.components)),
+                    ";".join(c.kind for c in rep.components),
+                    float(w2),
+                ]
+            )
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["p", "q", "partition", "q1", "q2", "q2p", "kinds", "omega_x2"])
+        w.writerows(dump_rows)
 
 
 def cmd_oracle(args):
     cfg = parse_config(args.config)
     record = _base_record(cfg)
-    record["oracle"] = {
-        str(n): _oracle_rows(cfg, n, args.dump_partitions) for n in cfg.n_list
-    }
+    record["oracle"] = {str(n): _oracle_rows(cfg, n) for n in cfg.n_list}
+    if args.dump_partitions:
+        _dump_partitions(cfg, record["oracle"].values(), args.dump_partitions)
     _emit(record, args.out)
     return 0
 
@@ -491,7 +495,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (KeyError, ValueError, MemoryError) as exc:
+    except (KeyError, ValueError, MemoryError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

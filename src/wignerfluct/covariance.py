@@ -1,5 +1,5 @@
-"""Limiting mean and covariance of traces of words in Wigner and
-deterministic matrices.
+"""Limiting covariance of traces of words in Wigner and deterministic
+matrices.
 
 The covariance of centered traces of two canonical monomials p (degree m)
 and q (degree n) is a sum of four contributions over the annular
@@ -25,7 +25,7 @@ import numpy as np
 
 from .annular import enumerate_nc2, is_non_mixing, pairing_table
 from .states import CycleValues
-from .words import Monomial, Polynomial, s_transform
+from .words import Monomial, s_transform
 
 
 @dataclass(frozen=True)
@@ -61,24 +61,6 @@ def _csum(values):
     return complex(
         math.fsum(v.real for v in values), math.fsum(v.imag for v in values)
     )
-
-
-def first_order(mono, params, state):
-    """Limit of E[(1/N) Tr p(X, A)] for a canonical monomial p."""
-    for wid in mono.wigner_labels:
-        _get_params(params, wid)
-    k = mono.degree
-    if k == 0:
-        return state.phi([mono.scalar_letter])
-    if k % 2:
-        return 0j
-    table = pairing_table(k, 0)
-    rows = _non_mixing(table, mono.wigner_labels)
-    return _table_sum(table, rows, CycleValues(mono.det_letters, state))
-
-
-def first_order_poly(poly, params, state):
-    return _csum([c * first_order(m, params, state) for c, m in poly.terms])
 
 
 @dataclass(frozen=True)
@@ -209,25 +191,3 @@ def phi2_two_term(p, q, params, state):
             if k4 != 0:
                 vals.append(k4 * values.product(sigma.kreweras_cycles, sigma.through_splits))
     return _csum(vals)
-
-
-def phi2_poly(P, Q, params, state):
-    """Bilinear extension of phi2 to polynomials."""
-    if not isinstance(P, Polynomial):
-        P = Polynomial.monomial(P)
-    if not isinstance(Q, Polynomial):
-        Q = Polynomial.monomial(Q)
-    vals = []
-    for c, mp in P.terms:
-        for d, mq in Q.terms:
-            if mp.degree == 0 or mq.degree == 0:
-                continue
-            vals.append(c * d * phi2(mp, mq, params, state))
-    return _csum(vals)
-
-
-def conjugate_cov(P, Q, params, state):
-    """E[z(p) conj(z(q))] computed as the covariance against q*."""
-    if not isinstance(Q, Polynomial):
-        Q = Polynomial.monomial(Q)
-    return phi2_poly(P, Q.star(), params, state)

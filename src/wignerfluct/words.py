@@ -34,9 +34,6 @@ class DetLetter:
     def transpose(self):
         return DetLetter(tuple((j, s, not t) for j, s, t in reversed(self.factors)))
 
-    def star(self):
-        return DetLetter(tuple((j, not s, t) for j, s, t in reversed(self.factors)))
-
     def fuse(self, other):
         """The product letter self * other."""
         return DetLetter(self.factors + other.factors)
@@ -80,24 +77,6 @@ class Monomial:
     @property
     def det_letters(self):
         return tuple(a for _, a in self.pairs)
-
-    def tokens(self):
-        if not self.pairs:
-            return [("a", self.scalar_letter)]
-        out = []
-        for w, a in self.pairs:
-            out.append(("x", w))
-            out.append(("a", a))
-        return out
-
-    def star(self):
-        rev = []
-        for kind, val in reversed(self.tokens()):
-            if kind == "x":
-                rev.append(("x*", val))
-            else:
-                rev.append(("a", val.star()))
-        return canonicalize(rev)
 
     def __str__(self):
         if not self.pairs:
@@ -197,32 +176,3 @@ def parse_word(text):
                 raise ValueError("deterministic index must be an integer in %r" % tok)
             tokens.append(("a", DetLetter.base(idx, star=star, transpose=bool(tflag))))
     return canonicalize(tokens)
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Complex linear combination of canonical monomials."""
-
-    terms: tuple = ()  # ((coeff, Monomial), ...)
-
-    @classmethod
-    def from_terms(cls, terms):
-        acc = {}
-        for c, mono in terms:
-            acc[mono] = acc.get(mono, 0) + complex(c)
-        return cls(tuple((c, m) for m, c in acc.items() if c != 0))
-
-    @classmethod
-    def monomial(cls, mono, coeff=1.0):
-        return cls.from_terms([(coeff, mono)])
-
-    def __add__(self, other):
-        return Polynomial.from_terms(list(self.terms) + list(other.terms))
-
-    def __rmul__(self, scalar):
-        return Polynomial.from_terms([(scalar * c, m) for c, m in self.terms])
-
-    def star(self):
-        return Polynomial.from_terms(
-            [(complex(c).conjugate(), m.star()) for c, m in self.terms]
-        )

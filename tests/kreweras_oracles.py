@@ -1,11 +1,10 @@
-"""Kreweras helpers that only the tests call, as reference oracles.
+"""A Kreweras helper that only the tests call, as a reference oracle.
 
-``disc_kreweras`` builds the disc complement from the match alone, and
 ``through_cycles`` splits the through cycles of a Kreweras permutation; the
-tests check the cycle and split tables each pairing carries against them.
+tests check the cycle and split tables each pairing carries against it.
 """
 
-from wignerfluct.annular import CyclePermutation, _kreweras_map, _through_split
+from wignerfluct.annular import _through_split
 
 
 def through_cycles(kperm, m, n):
@@ -17,8 +16,3 @@ def through_cycles(kperm, m, n):
     """
     splits = (_through_split(cyc, m) for cyc in kperm.cycles)
     return [s for s in splits if s is not None]
-
-
-def disc_kreweras(match, k):
-    """Kreweras complement on the disc: i -> sigma(i+1) with gamma = (1..k)."""
-    return CyclePermutation(k, _kreweras_map(match, (k,)))

@@ -1,6 +1,3 @@
-import functools
-import itertools
-
 import pytest
 
 from wignerfluct.annular import (
@@ -12,7 +9,6 @@ from wignerfluct.annular import (
     _through_pairs,
     _through_split,
     enumerate_nc2,
-    enumerate_nc2_disc,
     filter_by_through,
     gamma,
     is_annular_noncrossing,
@@ -22,13 +18,7 @@ from wignerfluct.annular import (
     pairing_table,
 )
 
-from kreweras_oracles import disc_kreweras, through_cycles
-
-
-@functools.lru_cache(maxsize=None)
-def involution_list(size):
-    """The brute-force candidates, generated once per size for all tests."""
-    return list(_involutions(size))
+from kreweras_oracles import through_cycles
 
 
 def make_pairing(m, n, pairs):
@@ -49,19 +39,6 @@ def test_pairing_rejects_no_through_string():
     match = [0, 2, 1, 4, 3]
     with pytest.raises(ValueError):
         AnnularPairing(2, 2, tuple(match))
-
-
-def test_disc_pairings_pass_the_constructor():
-    # a disc pairing of k points is a (k, 0) AnnularPairing
-    for k in range(0, 11, 2):
-        for p in enumerate_nc2_disc(k):
-            built = AnnularPairing(k, 0, p.match)
-            assert built == p
-            assert built.kreweras_cycles == p.kreweras_cycles
-    # (1,3)(2,4) crosses; a fixed point is no pairing
-    for match in [(0, 3, 4, 1, 2), (0, 1, 3, 2)]:
-        with pytest.raises(ValueError):
-            AnnularPairing(len(match) - 1, 0, match)
 
 
 def test_pairing_rejects_crossing():
@@ -97,14 +74,12 @@ def test_enumeration_cap():
     assert DEFAULT_SIZE_LIMIT == 18
     with pytest.raises(ValueError, match="m\\+n=20 exceeds enumeration cap 18"):
         enumerate_nc2(10, 10)
-    with pytest.raises(ValueError, match="k=20 exceeds enumeration cap 18"):
-        enumerate_nc2_disc(20)
 
 
 def test_enumeration_matches_brute_force_filter():
     # the genus-count filter over all involutions, order included
     for size in range(2, 15):
-        candidates = involution_list(size) if size % 2 == 0 else []
+        candidates = list(_involutions(size)) if size % 2 == 0 else []
         for m in range(1, size):
             n = size - m
             expected = [
@@ -176,7 +151,7 @@ def test_pairing_tables_match_kreweras():
 def assert_table_matches_kreweras(m, n):
     """Each table row against its pairing's point-by-point Kreweras cycles."""
     table = pairing_table(m, n)
-    pairings = enumerate_nc2(m, n) if n else enumerate_nc2_disc(m)
+    pairings = enumerate_nc2(m, n)
     assert [p.match for p in pairings] == [tuple(row) for row in table.matches.tolist()]
     assert len(set(table.cycles)) == len(table.cycles) == len(table.splits)
     through_counts = table.through.sum(axis=1).tolist()
@@ -198,20 +173,12 @@ def test_large_annulus_tables_match_kreweras(m, n):
     assert_table_matches_kreweras(m, n)
 
 
-def test_disc_tables_match_kreweras():
-    for k in range(13):
-        assert_table_matches_kreweras(k, 0)
-        assert not pairing_table(k, 0).through.any()
-
-
 def test_tables_are_cached_and_capped():
     assert pairing_table(7, 7) is pairing_table(7, 7)
     assert len(pairing_table(7, 7).matches) == 2800
     assert len(pairing_table(3, 2).matches) == 0  # odd: no pairing
     with pytest.raises(ValueError, match="m\\+n=19 exceeds enumeration cap 18"):
         pairing_table(10, 9)
-    with pytest.raises(ValueError, match="k=20 exceeds enumeration cap 18"):
-        pairing_table(20, 0)
 
 
 def test_through_cycles_split():
@@ -266,42 +233,3 @@ def test_non_mixing():
     for labels, count in ((["a", "b", "a", "b"], 2), (["a", "a", "a", "a"], 1)):
         assert is_non_mixing(p, labels)
         assert len({labels[i - 1] for i, _ in p.through_strings()}) == count
-
-
-def crosses(match, k):
-    """Pairwise test: two chords {a, b}, {c, d} of a k-gon cross iff a < c < b < d."""
-    pairs = [(i, match[i]) for i in range(1, k + 1) if i < match[i]]
-    return any(
-        a < c < b < d or c < a < d < b
-        for (a, b), (c, d) in itertools.combinations(pairs, 2)
-    )
-
-
-def test_disc_enumeration_matches_crossing_test():
-    for k in range(0, 15, 2):
-        expected = [match for match in involution_list(k) if not crosses(match, k)]
-        assert [p.match for p in enumerate_nc2_disc(k)] == expected
-
-
-def test_disc_enumeration_catalan():
-    assert len(enumerate_nc2_disc(2)) == 1
-    assert len(enumerate_nc2_disc(4)) == 2
-    assert len(enumerate_nc2_disc(6)) == 5
-    assert len(enumerate_nc2_disc(8)) == 14
-    assert len(enumerate_nc2_disc(18)) == 4862
-    assert enumerate_nc2_disc(3) == []
-
-
-def test_disc_kreweras_nested_pair():
-    # (1,4)(2,3) has complement cycles (1,3)(2)(4)
-    match = (0, 4, 3, 2, 1)
-    k = disc_kreweras(match, 4)
-    assert k.cycles == [(1, 3), (2,), (4,)]
-
-
-def test_disc_kreweras_cycles_match_disc_kreweras():
-    for k in range(0, 11, 2):
-        for p in enumerate_nc2_disc(k):
-            assert (p.m, p.n, p.through_count) == (k, 0, 0)
-            assert p.kreweras_cycles == tuple(disc_kreweras(p.match, k).cycles)
-            assert p.through_splits == (None,) * len(p.kreweras_cycles)

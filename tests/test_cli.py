@@ -315,6 +315,41 @@ def test_oracle_dump_matches_full_walk(tmp_path):
     assert [[r[0], r[1], r[2], r[7]] for r in rows] == want
 
 
+def test_oracle_dump_holds_each_valued_pair_once(tmp_path):
+    # the walk does not depend on N: a pair's rows appear once if the oracle
+    # valued it at some N (N = 40 is over EXACT_N_CAP), in any size order
+    doc = base_config()
+    doc["pairs"] = [["x1 a0 x1", "x1 a0 x1"], ["x1 a0", "x1 a0"]]
+    dump = tmp_path / "partitions.csv"
+    dumps = {}
+    for sizes in ([4], [4, 40], [40, 4], [4, 6], [40]):
+        doc["N"] = sizes
+        cfg = write_config(tmp_path, doc)
+        out = str(tmp_path / "oracle.json")
+        assert main(["oracle", "--config", cfg, "--out", out, "--dump-partitions", str(dump)]) == 0
+        dumps[tuple(sizes)] = dump.read_text()
+    header = "p,q,partition,q1,q2,q2p,kinds,omega_x2"
+    assert dumps[(4,)].startswith(header + "\n") and len(dumps[(4,)].splitlines()) > 2
+    assert dumps[(4, 40)] == dumps[(40, 4)] == dumps[(4, 6)] == dumps[(4,)]
+    assert dumps[(40,)].splitlines() == [header]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("pairings", "--out"), ("mc", "--csv"), ("oracle", "--dump-partitions"),
+])
+def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, command, flag):
+    # exit 1 means a discrepancy; a path into a missing directory is exit 2
+    if command == "pairings":
+        args = ["pairings", "--m", "2", "--n", "2"]
+    else:
+        args = [command, "--config", write_config(tmp_path, base_config())]
+    missing = str(tmp_path / "missing" / "out.txt")
+    assert main(args + [flag, missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err, err
+    assert "Traceback" not in err
+
+
 def test_oracle_skips_over_caps(tmp_path):
     doc = base_config()
     doc["pairs"] = [["x1 a0 x1 a0 x1 a0", "x1 a0 x1 a0 x1 a0"]]

@@ -5,7 +5,6 @@ identity family; the structured checks compare against explicit closed forms
 for low-degree words and against the exact finite-N partition oracle.
 """
 
-import itertools
 import math
 import tracemalloc
 
@@ -14,18 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kreweras_oracles import disc_kreweras
-from wignerfluct.annular import _involutions, enumerate_nc2, is_non_mixing
+from wignerfluct.annular import enumerate_nc2, is_non_mixing
 from wignerfluct.covariance import (
     GOE,
     GUE,
     RADEMACHER,
     WignerParams,
-    conjugate_cov,
-    first_order,
-    first_order_poly,
     phi2,
-    phi2_poly,
     phi2_terms,
     phi2_two_term,
 )
@@ -36,7 +30,7 @@ from wignerfluct.states import (
     diagonal_pattern,
     random_fixed,
 )
-from wignerfluct.words import DetLetter, Monomial, Polynomial, parse_word, s_transform
+from wignerfluct.words import DetLetter, Monomial, canonicalize, parse_word, s_transform
 
 IDENTITY_STATE = FiniteNState(DetFamily([np.eye(2)]))
 
@@ -52,32 +46,6 @@ def test_params_validation():
         WignerParams(eta=-1.0)
     with pytest.raises(ValueError):
         WignerParams(k4=-5.0)
-
-
-def test_first_order_semicircle_moments():
-    # semicircle even moments are the Catalan numbers 1, 2, 5
-    x = parse_word("x1")
-    assert first_order(x, id_params(), IDENTITY_STATE) == 0
-    x2 = parse_word("x1 x1")
-    assert first_order(x2, id_params(), IDENTITY_STATE) == pytest.approx(1.0)
-    x4 = parse_word("x1 x1 x1 x1")
-    assert first_order(x4, id_params(), IDENTITY_STATE) == pytest.approx(2.0)
-    x6 = parse_word("x1 " * 6)
-    assert first_order(x6, id_params(), IDENTITY_STATE) == pytest.approx(5.0)
-
-
-def test_first_order_mixed_labels_vanish_unless_matched():
-    w = parse_word("x1 x2")
-    assert first_order(w, id_params(), IDENTITY_STATE) == 0
-    w2 = parse_word("x1 x2 x2 x1")
-    assert first_order(w2, id_params(), IDENTITY_STATE) == pytest.approx(1.0)
-
-
-def test_first_order_poly_linear():
-    poly = Polynomial.from_terms(
-        [(2.0, parse_word("x1 x1")), (1.0, parse_word("x1 x1 x1 x1"))]
-    )
-    assert first_order_poly(poly, id_params(), IDENTITY_STATE) == pytest.approx(4.0)
 
 
 def test_phi2_scalar_anchor_degree_one():
@@ -196,33 +164,6 @@ def test_phi2_terms_split_sums_to_total():
     assert phi2(p, p, {"1": RADEMACHER}, state) == t.total
 
 
-def test_phi2_poly_bilinear():
-    fam = DetFamily([diagonal_pattern(4, [1, -1])])
-    state = FiniteNState(fam)
-    p = parse_word("x1 a0")
-    q = parse_word("x1 a0 x1 a0")
-    pars = {"1": GOE}
-    pol = Polynomial.from_terms([(2.0, p), (3.0, q)])
-    want = (
-        4 * phi2(p, p, pars, state)
-        + 6 * phi2(p, q, pars, state)
-        + 6 * phi2(q, p, pars, state)
-        + 9 * phi2(q, q, pars, state)
-    )
-    assert phi2_poly(pol, pol, pars, state) == pytest.approx(want)
-
-
-def test_conjugate_cov_real_words():
-    fam = DetFamily([diagonal_pattern(4, [1, -1])])
-    state = FiniteNState(fam)
-    p = parse_word("x1 a0")
-    pars = {"1": GUE}
-    # real symmetric letter: conjugation does nothing
-    assert conjugate_cov(p, p, pars, state) == pytest.approx(
-        phi2(p, p, pars, state)
-    )
-
-
 LETTERS = st.lists(
     st.tuples(st.integers(0, 1), st.booleans(), st.booleans()), max_size=2
 ).map(lambda factors: DetLetter(tuple(factors)))
@@ -263,48 +204,31 @@ def test_phi2_odd_total_degree_is_zero(n, seed, p, q, par):
     assert phi2(p, q, {"1": par, "2": par}, random_state(n, seed)) == 0
 
 
-COEFFS = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
-POLYNOMIALS = st.lists(
-    st.tuples(
-        COEFFS,
-        st.lists(
-            st.tuples(st.sampled_from(["1", "2"]), LETTERS), min_size=1, max_size=3
-        ).map(lambda pairs: Monomial(tuple(pairs))),
-    ),
-    min_size=1,
-    max_size=3,
-).map(Polynomial.from_terms)
+def star(mono):
+    """The adjoint word: the letters reversed, each factor's star flag flipped."""
+    tokens = []
+    for w, a in reversed(mono.pairs):
+        letter = DetLetter(tuple((j, not s, t) for j, s, t in reversed(a.factors)))
+        tokens += [("a", letter), ("x", w)]
+    return canonicalize(tokens)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 2**31), POLYNOMIALS, POLYNOMIALS,
+@given(st.integers(1, 5), st.integers(0, 2**31), MONOMIALS, MONOMIALS,
        PARAMS, PARAMS)
-def test_conjugate_cov_is_hermitian(n, seed, P, Q, par1, par2):
-    # E[z(p) conj(z(q))] = conj(E[z(q) conj(z(p))]), computed through Q.star()
+def test_conjugate_cov_is_hermitian(n, seed, p, q, par1, par2):
+    # E[z(p) conj(z(q))] = phi2(p, q*) = conj(E[z(q) conj(z(p))])
+    assume((p.degree + q.degree) % 2 == 0)
+    assert star(star(p)) == p
     state = random_state(n, seed)
     params = {"1": par1, "2": par2}
-    value = conjugate_cov(P, Q, params, state)
-    swapped = conjugate_cov(Q, P, params, state)
+    value = phi2(p, star(q), params, state)
+    swapped = phi2(q, star(p), params, state)
     assert abs(value - swapped.conjugate()) <= 1e-10 * (1 + abs(value))
-
-
-def first_order_by_crossing_test(mono, state):
-    """first_order by the crossing test on every involution and disc_kreweras."""
-    k = mono.degree
-    labels, letters = mono.wigner_labels, mono.det_letters
-    vals = []
-    for match in _involutions(k):
-        chords = [(i, match[i]) for i in range(1, k + 1) if i < match[i]]
-        if any(a < c < b < d or c < a < d < b
-               for (a, b), (c, d) in itertools.combinations(chords, 2)):
-            continue
-        if any(labels[i - 1] != labels[match[i] - 1] for i in range(1, k + 1)):
-            continue
-        term = 1.0 + 0.0j
-        for cyc in disc_kreweras(match, k).cycles:
-            term *= state.phi([letters[i - 1] for i in cyc])
-        vals.append(term)
-    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+    # a real diagonal letter is its own adjoint: q* evaluates as q
+    real = FiniteNState(DetFamily([diagonal_pattern(4, [1, -1])]))
+    x = parse_word("x1 a0")
+    assert phi2(x, star(x), params, real) == pytest.approx(phi2(x, x, params, real))
 
 
 FAMILY_LETTERS = st.lists(
@@ -317,22 +241,6 @@ EVEN_MONOMIALS = st.integers(1, 4).flatmap(
         max_size=2 * half,
     )
 ).map(lambda pairs: Monomial(tuple(pairs)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 6), st.integers(0, 2**31), EVEN_MONOMIALS,
-       st.sampled_from(["1", "2"]))
-def test_first_order_matches_crossing_test_loop(n, seed, mono, relabel):
-    # one id or two: every label may be folded onto one
-    if relabel == "2":
-        mono = Monomial(tuple((relabel, a) for _, a in mono.pairs))
-    fam = DetFamily([
-        diagonal_pattern(n, [1, -0.5, 2j]),
-        circulant(n, [0.5, 1]),
-        random_fixed(n, seed),
-    ])
-    got = first_order(mono, id_params(), FiniteNState(fam))
-    assert got == first_order_by_crossing_test(mono, FiniteNState(fam))
 
 
 def test_evaluation_reads_pairing_tables(monkeypatch):
@@ -354,7 +262,6 @@ def test_evaluation_reads_pairing_tables(monkeypatch):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, recording(name, getattr(mod, name)))
     annular._enumerate_nc2_cached.cache_clear()
-    annular._enumerate_nc2_disc_cached.cache_clear()
     fam = DetFamily([diagonal_pattern(6, [1, -0.5, 2]), circulant(6, [0.5, 1])])
     state = FiniteNState(fam)
     params = {"1": WignerParams(0.5, 2.0, 1.0)}
@@ -363,7 +270,6 @@ def test_evaluation_reads_pairing_tables(monkeypatch):
     assert phi2_terms(p, q, params, state).s3 != 0
     odd = parse_word("x1 a0 x1 a1 x1")
     assert phi2_terms(odd, parse_word("x1 a1 x1 x1 a0 x1 x1"), params, state).s4 != 0
-    assert first_order(parse_word("x1 a0 x1 a1 x1 x1"), params, state) != 0
     assert calls == []
 
 

@@ -1,6 +1,9 @@
-"""Every module-level import of a package module is read somewhere in it."""
+"""Every module-level import of a package module is read somewhere in it,
+and every name the benchmark's tracer wraps exists.
+"""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import wignerfluct
 
 PACKAGE = pathlib.Path(wignerfluct.__file__).parent
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # __init__ imports names to re-export them, not to read them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -52,3 +56,20 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps each (module, attribute) of TARGETS by name;
+    # a deleted one breaks every benchmark run, so it fails here first
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = []
+    for module_name, attr, *_ in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append((module_name, attr))
+    assert missing == []

@@ -3,7 +3,6 @@ import pytest
 from wignerfluct.words import (
     DetLetter,
     IDENTITY_LETTER,
-    Polynomial,
     parse_word,
     s_transform,
 )
@@ -59,13 +58,6 @@ def test_letter_transpose_star():
     letter = DetLetter.base(0).fuse(DetLetter.base(1, star=True))
     t = letter.transpose()
     assert t.factors == ((1, True, True), (0, False, True))
-    s = letter.star()
-    assert s.factors == ((1, False, False), (0, True, False))
-
-
-def test_monomial_star_is_involution():
-    mono = parse_word("x1 a0 x2 a1*")
-    assert mono.star().star() == mono
 
 
 def test_s_transform_degree_two():
@@ -102,21 +94,3 @@ def test_parse_one_star_before_or_after_t():
     for token in ("a1*t", "a1t*"):
         ((_, letter),) = parse_word("x1 " + token).pairs
         assert letter.factors == ((1, True, True),)
-
-
-def test_polynomial_merging():
-    p = parse_word("x1 a0")
-    q = parse_word("x1 a1")
-    poly = Polynomial.from_terms([(1.0, p), (2.0, q), (1.0, p)])
-    assert dict((m, c) for c, m in poly.terms) == {p: 2.0, q: 2.0}
-    doubled = 2.0 * poly
-    assert dict((m, c) for c, m in doubled.terms) == {p: 4.0, q: 4.0}
-
-
-def test_polynomial_star_conjugates_coefficients():
-    p = parse_word("x1 a0")
-    poly = Polynomial.from_terms([(1j, p)])
-    starred = poly.star()
-    ((c, mono),) = starred.terms
-    assert c == -1j
-    assert mono == p.star()
