@@ -38,13 +38,20 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+
+try:  # the interpreter's own SHA-256: hashlib maps OpenSSL's libcrypto, +3.6 MB resident
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .annular import enumerate_nc2, filter_by_through
 from .covariance import WignerParams, phi2_terms
@@ -230,7 +237,7 @@ def parse_config(path):
 
 def config_hash(doc):
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return sha256(payload.encode()).hexdigest()
 
 
 def _c2j(z):

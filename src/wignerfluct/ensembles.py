@@ -330,11 +330,11 @@ def _hermitian_layout(n):
 
 
 def _draw_rows(method, rows, keys):
-    """Fill row i of each (b, size) array with the variates of the stream of key i.
+    """Fill row i of the (b, size) array ``rows`` with the variates of the stream of key i.
 
     One generator serves the block.  For each key it is set to the start of
-    that key's stream, the state a Philox built on the key has, and
-    ``Generator.<method>`` fills row i of each array in turn.
+    that key's stream, the state a Philox built on the key has, and one
+    ``Generator.<method>`` call fills row i.
     """
     bitgen = np.random.Philox(0)  # any key: each stream sets its own
     draw = getattr(np.random.Generator(bitgen), method)
@@ -350,8 +350,7 @@ def _draw_rows(method, rows, keys):
     for i, key in enumerate(keys.tolist()):
         state["state"] = {"counter": counter, "key": key}
         bitgen.state = state
-        for out in rows:
-            draw(out=out[i])
+        draw(out=rows[i])
 
 
 def _view(buffer, start, shape, dtype):
@@ -372,10 +371,11 @@ def fill_wigners(x, scratch, law, keys):
     ``x`` is a (b, N, N) array of ``wigner_dtype(law)`` and ``scratch`` a
     uint8 array of at least ``x.nbytes`` bytes, whose contents the draw
     overwrites.  The scratch holds two (b, N(N-1)/2) arrays of x's dtype,
-    then the b N diagonal variates.  The off-diagonal variate rows are drawn
-    into the second array; ``off`` and ``buf`` use both arrays once the rows
-    are spent.  The bool masks of discrete laws live in ``x``, which nothing
-    else has written yet.
+    then the b N diagonal variates.  Each key's variates lie next to each
+    other from the second array on, so that one generator call draws them;
+    ``off`` and ``buf`` use both arrays once the variates are spent.  The
+    bool masks of discrete laws live in ``x``, which nothing else has
+    written yet.
     """
     b, n = len(keys), x.shape[-1]
     upper, lower = _hermitian_layout(n)
@@ -388,19 +388,18 @@ def fill_wigners(x, scratch, law, keys):
     first = _view(scratch, 0, (b, k), x.dtype)
     second = _view(scratch, part, (b, k), x.dtype)
     # per replicate: the off-diagonal real parts, the imaginary parts of a
-    # complex law, then the diagonal
-    rows = [second] if real else [
-        _view(scratch, part + i * part // 2, (b, k), float) for i in (0, 1)
-    ]
-    rows.append(_view(scratch, 2 * part, (b, n), float))
+    # complex law, then the diagonal, in one row of the variates
+    width = 1 if real else 2
+    variates = _view(scratch, part, (b, width * k + n), float)
+    rows = [variates[:, i * k:(i + 1) * k] for i in range(width)] + [variates[:, width * k:]]
     if law.kind == "uv_discrete":
-        _draw_rows("random", rows, keys)
+        _draw_rows("random", variates, keys)
         below = _view(x.reshape(-1).view(np.uint8), 0, (b, max(k, n)), bool)
         parts = [law.u, law.diag] if real else [law.u, law.v, law.diag]
         for atoms, row in zip(parts, rows):
             atoms.atoms(row, below[:, :row.shape[1]])
     else:
-        _draw_rows("standard_normal", rows, keys)
+        _draw_rows("standard_normal", variates, keys)
         rows[-1] *= math.sqrt(float(law.diag_variance))
     scale = math.sqrt(n)
     # entry by entry the same operations as summing X + X^H and dividing
@@ -412,7 +411,7 @@ def fill_wigners(x, scratch, law, keys):
     np.copyto(diag, rows[-1])
     diag /= scale
     if real:
-        off, buf = second, first
+        off, buf = rows[0], first
     else:
         off, buf = first, second
         np.multiply(1j, rows[1], out=off)

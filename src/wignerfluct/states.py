@@ -3,69 +3,186 @@
 One state class, ``FiniteNState``, evaluates the functionals the covariance
 sum needs and memoizes them as scalars under every equivalent key: every
 rotation of the word for ``phi``, both transposes of each argument in both
-orders for ``phi_hadamard``.  A miss is computed on the state's N x N family
+orders for ``phi_hadamard``.  A miss is computed on the state's family
 (the covariance needs its Hadamard functionals, not only its
 *-distribution), on one representative of its class, a letter per factor:
 the least rotation, or of each argument and its transpose the one with
 fewer transposed factors, in sorted order: no value depends on which key,
 or pair, came first.  ``phi_transpose(p, q)`` is ``phi`` of p followed by
 the reversed transposes of q.  ``CycleValues`` asks the state once for each
-distinct Kreweras cycle of one letter list.  Every word product, here and
-in Monte Carlo, is one ``DetFamily.times_into`` call per letter: Monte Carlo
-passes its pool's allocator, and ``times`` passes ``np.empty``.
+distinct Kreweras cycle of one letter list.
+
+A family holds each member with at most one nonzero per column as a
+``Gather`` (rows, weights), with no N x N array, and composes words of
+gathers as gathers: their diagonals, all that phi and phi_hadamard read,
+cost O(N) a factor.  Any other word is a dense product, one
+``DetFamily.times_into`` call per letter after the first, as in Monte
+Carlo, which passes its pool's allocator where ``times`` passes
+``np.empty``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from .words import DetLetter
 
 
+class Gather(tuple):
+    """An N x N matrix with at most one nonzero per column, as (rows, weights).
+
+    Column j is weights[j] * e_rows[j]; a zero column has weight 0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows, weights):
+        return super().__new__(cls, (rows, weights))
+
+
+def _real(a):
+    """``a``, or a real copy of it when its imaginary part is 0."""
+    return a.real.copy() if a.dtype.kind == "c" and not a.imag.any() else a
+
+
+def _scan(m):
+    """A dense matrix as a Gather if no column has two nonzeros, else itself."""
+    nonzero = m != 0
+    if nonzero.sum(axis=0).max() > 1:
+        return m
+    rows = nonzero.argmax(axis=0)
+    return Gather(rows, m[rows, np.arange(len(m))])
+
+
+def _matrix(member):
+    """The dense complex matrix of a member, a new array for a Gather."""
+    if not isinstance(member, Gather):
+        return np.asarray(member, dtype=complex)
+    rows, weights = member
+    out = np.zeros((len(rows), len(rows)), dtype=complex)
+    out[rows, np.arange(len(rows))] = weights
+    return out
+
+
+def _transpose(g):
+    """The transpose of a Gather, or None if two of its nonzeros share a row."""
+    rows, weights = g
+    cols = np.flatnonzero(weights)
+    if np.bincount(rows[cols], minlength=1).max() > 1:
+        return None
+    t_rows, t_weights = np.zeros_like(rows), np.zeros_like(weights)
+    t_rows[rows[cols]] = cols
+    t_weights[rows[cols]] = weights[cols]
+    return Gather(t_rows, t_weights)
+
+
+def _compose(a, b):
+    """The Gather of a @ b: rows r_a[r_b], weights w_a[r_b] * w_b, as ``times`` multiplies."""
+    (ra, wa), (rb, wb) = a, b
+    return Gather(ra[rb], wa[rb] * wb)
+
+
 class DetFamily:
     """A finite collection of N x N complex matrices with bounded norms.
 
+    A member with at most one nonzero per column (a diagonal, a projection,
+    a shift, a weighted permutation) is held as a ``Gather``, with no N x N
+    array; any other member as its dense matrix, float when it is real.  A
+    dense array given for a member is scanned once, here.  Letters and
+    words made only of gathers compose as gathers, so their traces and
+    diagonals cost O(N) a factor; ``letter_matrix``, ``word_matrix`` and
+    ``matrices`` give dense arrays on request, and do not keep those of
+    gathers.
+
     With ``norm_bound`` b, each matrix's operator norm must be at most
-    b (1 + 1e-9).  sqrt(||A||_1 ||A||_inf) bounds the norm from above and
-    accepts most matrices; the rest are checked by the exact norm.
+    b (1 + 1e-9).  A gather's norm is exact: the square root of its largest
+    row sum of |w|^2.  For a dense member sqrt(||A||_1 ||A||_inf) bounds the
+    norm from above and accepts most matrices; the rest are checked by the
+    exact norm.
     """
 
     def __init__(self, matrices, norm_bound=None):
-        mats = [np.asarray(m, dtype=complex) for m in matrices]
-        if not mats:
+        members = []
+        for m in matrices:
+            if isinstance(m, Gather):
+                m = Gather(m[0], _real(m[1]))
+            else:
+                m = np.asarray(m, dtype=complex)
+                if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                    raise ValueError("all family matrices must be square of equal size")
+                m = _scan(_real(m))
+            members.append(m)
+        if not members:
             raise ValueError("family must contain at least one matrix")
-        n = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (n, n):
+        n = len(members[0][0])
+        for m in members:
+            if len(m[0]) != n:
                 raise ValueError("all family matrices must be square of equal size")
         self.N = n
-        self.matrices = mats
+        self._members = members
+        self._holds_dense = not all(isinstance(m, Gather) for m in members)
         if norm_bound is not None:
             limit = norm_bound * (1 + 1e-9)
-            for i, m in enumerate(mats):
-                if np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf)) <= limit:
+            for i, m in enumerate(members):
+                if isinstance(m, Gather):
+                    norm = np.sqrt(np.bincount(m[0], np.abs(m[1]) ** 2, minlength=n).max())
+                elif np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf)) <= limit:
                     continue
-                norm = np.linalg.norm(m, 2)
+                else:
+                    norm = np.linalg.norm(m, 2)
                 if norm > limit:
                     raise ValueError(
                         "matrix %d has norm %.6g > bound %.6g" % (i, norm, norm_bound)
                     )
         self.norm_bound = norm_bound
         self._letter_cache = {}
+        self._factors = {}
         self._operands = {}
 
+    @property
+    def matrices(self):
+        """The members as dense complex arrays, gathers built anew on each call."""
+        return [_matrix(m) for m in self._members]
+
+    def _member(self, j):
+        if not 0 <= j < len(self._members):
+            raise IndexError("family has no matrix with index %d" % j)
+        return self._members[j]
+
+    def _factor(self, factor):
+        """A flagged member as a Gather, cached, or None if it is not one."""
+        if factor not in self._factors:
+            j, star, transpose = factor
+            g = self._member(j)
+            if isinstance(g, Gather):
+                if star:
+                    g = Gather(g[0], g[1].conj())
+                if star != transpose:  # the adjoint is the transpose of the conjugate
+                    g = _transpose(g)
+            else:
+                g = None
+            self._factors[factor] = g
+        return self._factors[factor]
+
+    def _gather(self, letter):
+        """The letter as a Gather, or None if a factor is not one."""
+        if letter.is_identity:
+            return Gather(np.arange(self.N), np.ones(self.N))
+        gathers = [self._factor(factor) for factor in letter.factors]
+        return None if None in gathers else functools.reduce(_compose, gathers)
+
     def letter_matrix(self, letter):
-        """Dense complex matrix of a (possibly fused) letter, cached."""
+        """Dense complex matrix of a (possibly fused) letter, cached unless a gather."""
         cached = self._letter_cache.get(letter)
         if cached is not None:
             return cached
         out = None
         for j, star, transpose in letter.factors:
-            if not 0 <= j < len(self.matrices):
-                raise IndexError("family has no matrix with index %d" % j)
-            m = self.matrices[j]
+            m = _matrix(self._member(j))
             if star:
                 m = m.conj().T
             if transpose:
@@ -74,27 +191,29 @@ class DetFamily:
             out = m if out is None else out @ m
         if out is None:
             out = np.eye(self.N, dtype=complex)
-        self._letter_cache[letter] = out
+        if not all(isinstance(self._members[j], Gather) for j, _, _ in letter.factors):
+            self._letter_cache[letter] = out
         return out
 
     def operand(self, letter):
         """The letter as ``times`` applies it, built on first use and cached.
 
-        A letter with at most one nonzero per column is (rows, weights):
-        column j is weights[j] * e_rows[j].  Any other letter is its dense
-        matrix.  Either is downcast to float when its imaginary part is 0.
+        A letter with at most one nonzero per column is a Gather (rows,
+        weights): column j is weights[j] * e_rows[j].  Any other letter is
+        its dense matrix.  Either is downcast to float when its imaginary
+        part is 0.  A letter of gathers composes as one; a letter with a
+        dense factor, or the transpose of a gather that is not one, is
+        scanned from its dense product.
         """
         got = self._operands.get(letter)
         if got is None:
-            m = self.letter_matrix(letter)
-            if not m.imag.any():
-                m = m.real.copy()
-            nonzero = m != 0
-            if nonzero.sum(axis=0).max() <= 1:
-                rows = nonzero.argmax(axis=0)
-                got = (rows, m[rows, np.arange(self.N)])
+            got = self._gather(letter)
+            if got is not None:
+                got = Gather(got[0], _real(got[1]))
+            elif len(letter.factors) == 1 and not any(letter.factors[0][1:]):
+                got = self._members[letter.factors[0][0]]  # a dense member, as it is held
             else:
-                got = m
+                got = _scan(_real(self.letter_matrix(letter)))
             self._operands[letter] = got
         return got
 
@@ -140,10 +259,30 @@ class DetFamily:
     def word_matrix(self, letters):
         """Product matrix of a word of deterministic letters (read-only).
 
-        A one-letter word returns the cached letter matrix itself.
+        A one-letter word returns its letter matrix itself.
         """
         first = self.letter_matrix(letters[0] if letters else DetLetter())
         return functools.reduce(self.times, letters[1:], first)
+
+    def word_diagonal(self, letters):
+        """The complex diagonal of a word's product matrix (read-only).
+
+        A word of gathers composes factor by factor, left to right as
+        ``times`` multiplies, to one gather, whose diagonal holds the weights
+        at its fixed points and 0 elsewhere: O(N) a factor, and on a letter
+        per factor its sum has the bits of the dense product's trace.  Any
+        other word is the diagonal of ``word_matrix``, and so is the empty
+        word, the identity, in a family that holds a dense member, where an
+        N x N array exists already.
+        """
+        g = self._gather(DetLetter(_word_key(letters)))
+        if g is None or not letters and self._holds_dense:
+            return np.diagonal(self.word_matrix(letters))
+        rows, weights = g
+        out = np.zeros(self.N, dtype=complex)
+        fixed = rows == np.arange(self.N)
+        out[fixed] = weights[fixed]
+        return out
 
 
 def _word_key(letters):
@@ -176,7 +315,7 @@ class FiniteNState:
         if got is None:
             rotations = [key[i:] + key[:i] for i in range(len(key))]
             word = [DetLetter((f,)) for f in min(rotations)]
-            got = complex(np.trace(self.family.word_matrix(word)) / self.N)
+            got = complex(self.family.word_diagonal(word).sum() / self.N)
             self._phi.update(dict.fromkeys(rotations, got))
         return got
 
@@ -187,8 +326,8 @@ class FiniteNState:
             # a word and its transpose share a diagonal: take the one with fewer t flags
             pa, pb = [(k, DetLetter(k).transpose().factors) for k in (ka, kb)]
             least = sorted(min(t, key=lambda k: (sum(f[2] for f in k), k)) for t in (pa, pb))
-            p, q = [self.family.word_matrix([DetLetter((f,)) for f in k]) for k in least]
-            got = complex(np.sum(np.diagonal(p) * np.diagonal(q)) / self.N)
+            p, q = [self.family.word_diagonal([DetLetter((f,)) for f in k]) for k in least]
+            got = complex(np.sum(p * q) / self.N)
             for a in pa:
                 for b in pb:
                     self._hadamard[a, b] = self._hadamard[b, a] = got
@@ -253,38 +392,60 @@ def eval_phi_tilde_K(pairing, letters, state):
 # family builders
 
 
+def _identity(n):
+    return Gather(np.arange(n), np.ones(n, dtype=complex))
+
+
 def identity(n):
-    return np.eye(n, dtype=complex)
+    return _matrix(_identity(n))
+
+
+def _diagonal(n, values):
+    if not len(values):
+        raise ValueError("pattern must be nonempty")
+    reps = -(-n // len(values))
+    return Gather(np.arange(n), np.asarray((list(values) * reps)[:n], dtype=complex))
 
 
 def diagonal_pattern(n, values):
     """Diagonal matrix repeating ``values`` along the diagonal."""
-    if not len(values):
-        raise ValueError("pattern must be nonempty")
-    reps = -(-n // len(values))
-    diag = (list(values) * reps)[:n]
-    return np.diag(np.asarray(diag, dtype=complex))
+    return _matrix(_diagonal(n, values))
 
-def circulant(n, first_row):
-    """Circulant matrix with the given first row (padded with zeros)."""
+
+def _circulant(n, first_row):
     if not len(first_row):
         raise ValueError("first row must be nonempty")
     if len(first_row) > n:
         raise ValueError("first row longer than dimension")
     row = np.zeros(n, dtype=complex)
     row[: len(first_row)] = np.asarray(first_row, dtype=complex)
-    # in rows of n + 1, row k of the repeated row is it rolled by -k
-    return np.tile(row, n + 1).reshape(n, n + 1)[-np.arange(n), :n]
+    nonzero = np.flatnonzero(row)
+    if len(nonzero) > 1:
+        # in rows of n + 1, row k of the repeated row is it rolled by -k
+        return np.tile(row, n + 1).reshape(n, n + 1)[-np.arange(n), :n]
+    # row i holds row[k] at column i + k: column j holds it at row j - k
+    k = nonzero[0] if len(nonzero) else 0
+    return Gather((np.arange(n) - k) % n, np.full(n, row[k]))
+
+
+def circulant(n, first_row):
+    """Circulant matrix with the given first row (padded with zeros)."""
+    return _matrix(_circulant(n, first_row))
+
+
+def _projection(n, rank_fraction):
+    if not 0 <= rank_fraction <= 1:
+        raise ValueError("rank fraction must lie in [0, 1]")
+    # the decimal value: floor(0.29 * 100) is 28 in floats
+    rank = math.floor(Fraction(str(float(rank_fraction))) * n)
+    weights = np.zeros(n, dtype=complex)
+    weights[:rank] = 1.0
+    return Gather(np.arange(n), weights)
 
 
 def projection(n, rank_fraction):
-    """Diagonal projection of rank floor(rank_fraction * N)."""
-    if not 0 <= rank_fraction <= 1:
-        raise ValueError("rank fraction must lie in [0, 1]")
-    r = int(np.floor(rank_fraction * n))
-    diag = np.zeros(n, dtype=complex)
-    diag[:r] = 1.0
-    return np.diag(diag)
+    """Diagonal projection of rank floor(rank_fraction * N), rank_fraction read as a decimal."""
+    return _matrix(_projection(n, rank_fraction))
 
 
 def random_fixed(n, seed, norm_cap=1.0):
@@ -295,10 +456,10 @@ def random_fixed(n, seed, norm_cap=1.0):
 
 
 _BUILDERS = {
-    "identity": lambda n, spec: identity(n),
-    "diagonal_pattern": lambda n, spec: diagonal_pattern(n, spec["values"]),
-    "circulant": lambda n, spec: circulant(n, spec["first_row"]),
-    "projection": lambda n, spec: projection(n, spec["rank_fraction"]),
+    "identity": lambda n, spec: _identity(n),
+    "diagonal_pattern": lambda n, spec: _diagonal(n, spec["values"]),
+    "circulant": lambda n, spec: _circulant(n, spec["first_row"]),
+    "projection": lambda n, spec: _projection(n, spec["rank_fraction"]),
     "random_fixed": lambda n, spec: random_fixed(
         n, spec["seed"], spec.get("norm_cap", 1.0)
     ),
@@ -331,18 +492,18 @@ def family_from_json(doc):
     raises MatrixSpecError.
     """
     n = doc["dim"]
-    mats = []
+    members = []
     for i, spec in enumerate(doc["matrices"]):
         try:
             kind = spec["kind"]
             if kind not in _BUILDERS:
                 raise ValueError("unknown matrix kind %r" % (kind,))
-            mat = _BUILDERS[kind](n, spec)
-            if not np.all(np.isfinite(mat)):
+            member = _BUILDERS[kind](n, spec)
+            if not np.all(np.isfinite(member[1] if isinstance(member, Gather) else member)):
                 raise ValueError("matrix has a non-finite entry")
-            mats.append(mat)
+            members.append(member)
         except KeyError as exc:
             raise MatrixSpecError(i, "missing key %s" % exc) from None
         except (TypeError, ValueError) as exc:
             raise MatrixSpecError(i, str(exc)) from None
-    return DetFamily(mats, norm_bound=doc.get("norm_bound"))
+    return DetFamily(members, norm_bound=doc.get("norm_bound"))

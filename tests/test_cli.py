@@ -182,6 +182,49 @@ def test_config_hash_key_order_invariant():
     assert config_hash(a) != config_hash({"x": 2, "y": {"a": 2, "b": 3}})
 
 
+def test_config_hash_is_sha256_without_openssl(tmp_path):
+    import hashlib
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import wignerfluct
+
+    doc = base_config()
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert config_hash(doc) == hashlib.sha256(payload).hexdigest()
+    # a theory command loads no OpenSSL binding, unless numpy itself does
+    script = (
+        "import sys, numpy; before = '_hashlib' in sys.modules\n"
+        "from wignerfluct.cli import main\n"
+        "assert main(['theory', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print(before, '_hashlib' in sys.modules)"
+    )
+    cfg = write_config(tmp_path, doc)
+    src = pathlib.Path(wignerfluct.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", script, cfg, str(tmp_path / "out.json")],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    ).stdout.split()
+    if out[0] == "True":
+        pytest.skip("numpy imports _hashlib on its own")
+    assert out == ["False", "False"]
+
+
+def test_gather_member_over_the_norm_bound_is_an_input_error(tmp_path, capsys):
+    doc = base_config()
+    doc["family"] = {"norm_bound": 2, "matrices": [
+        {"kind": "diagonal_pattern", "values": [1, -1]},
+        {"kind": "circulant", "first_row": [0, 2.5]},
+    ]}
+    cfg = write_config(tmp_path, doc)
+    for command in ("theory", "mc"):
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: matrix 1 has norm 2.5 > bound 2\n"
+
+
 def test_pairings_command(tmp_path, capsys):
     out = tmp_path / "pairings.json"
     code = main(["pairings", "--m", "2", "--n", "2", "--out", str(out)])

@@ -185,6 +185,16 @@ def test_builders_shapes():
     np.testing.assert_allclose(random_fixed(6, seed=3), r)
 
 
+@pytest.mark.parametrize("fraction, rank", [(0.29, 29), (0.57, 57), (0.58, 58)])
+def test_projection_rank_reads_the_decimal_value(fraction, rank):
+    # floor(0.29 * 100) is 28 in floats: 0.29 * 100 == 28.999999999999996
+    assert np.trace(projection(100, fraction)).real == rank
+    fam = family_from_json(
+        {"dim": 100, "matrices": [{"kind": "projection", "rank_fraction": fraction}]}
+    )
+    assert FiniteNState(fam).phi([DetLetter.base(0)]) == pytest.approx(rank / 100)
+
+
 def circulant_by_rolls(n, first_row):
     """Row i is the zero-padded first row rolled right by i."""
     row = np.zeros(n, dtype=complex)
@@ -459,3 +469,110 @@ def test_times_on_a_stack_matches_each_slice(n, seed, b, fused):
             np.testing.assert_allclose(
                 fam.trace_times(stack, letter), want, rtol=1e-12, atol=1e-12
             )
+
+
+def gather_zoo(n, seed):
+    """Specs of members with at most one nonzero per column."""
+    rng = np.random.default_rng(seed)
+    phases = np.zeros((n, n, 2))
+    angle = rng.uniform(0, 2 * np.pi, n)
+    phases[rng.permutation(n), np.arange(n)] = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    signs = np.zeros((n, n, 2))
+    signs[rng.permutation(n), np.arange(n), 0] = rng.choice([-1.5, 0.5, 1.0], n)
+    return [
+        {"kind": "diagonal_pattern", "values": [1, -0.5, 2]},
+        {"kind": "projection", "rank_fraction": 0.5},
+        {"kind": "circulant", "first_row": [0, 1]},
+        {"kind": "circulant", "first_row": [0, 0, 0.5j]},
+        {"kind": "dense", "data": phases.tolist()},
+        {"kind": "dense", "data": signs.tolist()},
+    ]
+
+
+GATHER_LETTERS = st.lists(
+    st.tuples(st.integers(0, 5), st.booleans(), st.booleans()), max_size=2
+).map(lambda factors: DetLetter(tuple(factors)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 9),
+    st.integers(0, 2**31),
+    st.lists(GATHER_LETTERS, min_size=1, max_size=4),
+    st.lists(GATHER_LETTERS, max_size=3),
+)
+def test_gather_members_match_the_same_matrices_given_dense(n, seed, p, q):
+    from wignerfluct.ensembles import gue_law, sample_wigners, stream_keys
+
+    built = family_from_json({"dim": n, "matrices": gather_zoo(n, seed)})
+    given_dense = DetFamily(built.matrices)
+    states = [FiniteNState(fam) for fam in (built, given_dense)]
+    # phi and phi_hadamard of words with star, transpose and fused letters
+    assert states[0].phi(p) == states[1].phi(p)
+    assert states[0].phi_hadamard(p, q) == states[1].phi_hadamard(p, q)
+    mat = np.arange(n * n, dtype=float).reshape(n, n) - n
+    stack = sample_wigners(n, gue_law(), stream_keys(seed, 0, range(2)))
+    for letter in p + q:
+        for x in (mat, stack):
+            a, b = [fam.times_into(x, letter, np.empty) for fam in (built, given_dense)]
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        a, b = [fam.trace_times(stack, letter) for fam in (built, given_dense)]
+        assert np.array_equal(a, b)
+        assert np.array_equal(built.letter_matrix(letter), given_dense.letter_matrix(letter))
+    # the composed gather of a word, on the letter per factor of the least
+    # rotation that phi takes, has the bits of its dense product's trace,
+    # ``times`` after ``times``
+    least = [DetLetter((f,)) for f in cyclic_min(factor_key(p))]
+    for fam, state in zip((built, given_dense), states):
+        assert state.phi(p) == complex(np.trace(fam.word_matrix(least)) / n)
+        want = np.sum(np.diagonal(fam.word_matrix(p)) * np.diagonal(fam.word_matrix(q))) / n
+        assert abs(state.phi_hadamard(p, q) - want) <= 1e-12
+
+
+def test_transpose_of_a_gather_that_is_no_permutation_is_dense():
+    n = 5
+    top = np.outer(np.eye(n)[0], np.full(n, 0.4))  # every column on row 0
+    fam = DetFamily([top, diagonal_pattern(n, [1, -1])])
+    state = FiniteNState(fam)
+    products = []
+    word_matrix = fam.word_matrix
+    fam.word_matrix = lambda letters: products.append(1) or word_matrix(letters)
+    d = np.diag([1.0, -1.0, 1.0, -1.0, 1.0])
+    # a0 and a0*t (the entrywise conjugate) are gathers; a0t and a0* are not
+    for star, transpose, dense, want in [
+        (False, False, False, top @ d),
+        (True, True, False, top @ d),
+        (False, True, True, top.T @ d),
+        (True, False, True, top.T @ d),
+    ]:
+        letter = DetLetter.base(0, star=star, transpose=transpose)
+        assert isinstance(fam.operand(letter), np.ndarray) == dense
+        del products[:]
+        assert state.phi([letter, DetLetter.base(1)]) == pytest.approx(np.trace(want) / n)
+        assert len(products) == dense
+
+
+def test_gather_families_take_no_dense_arrays():
+    import tracemalloc
+
+    from wignerfluct.annular import pairing_table
+    from wignerfluct.covariance import WignerParams, phi2_terms
+    from wignerfluct.words import parse_word
+
+    p, q = parse_word("x1 a0 x1 a1 x1 a1*"), parse_word("x1 a1t x1 a0 x1 a1")
+    params = {"1": WignerParams(0.5, 1.5, 1.0)}
+    doc = {"dim": 2048, "norm_bound": 1, "matrices": [
+        {"kind": "diagonal_pattern", "values": [1, -1]},
+        {"kind": "circulant", "first_row": [0, 1]},
+    ]}
+    pairing_table(3, 3)  # built before the measurement: cached per (m, n), not per family
+    tracemalloc.start()
+    try:
+        terms = phi2_terms(p, q, params, FiniteNState(family_from_json(doc)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense complex member would be 2048^2 * 16 B = 64 MiB
+    assert peak < 1 << 20
+    want = phi2_terms(p, q, params, FiniteNState(family_from_json(dict(doc, dim=8))))
+    assert terms.total == pytest.approx(want.total)
