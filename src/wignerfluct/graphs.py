@@ -432,31 +432,34 @@ def omega_X(graph, laws, order=1):
 # traces of A-graphs
 
 
-def _a_triples(graph):
-    return [(e.src, e.trg, e.label) for e in graph.edges if e.kind == "a"]
+def _a_triples(graph, family):
+    """The A-edges as ``(src, trg, matrix)``, one dense matrix built per distinct letter."""
+    edges = [e for e in graph.edges if e.kind == "a"]
+    mats = {letter: family.letter_matrix(letter) for letter in {e.label for e in edges}}
+    return [(e.src, e.trg, mats[e.label]) for e in edges]
 
 
-def _triples_trace(vertices, triples, family):
-    """Sum over all labelings of the vertices of the A-entry product.
+def _triples_trace(vertices, triples, n):
+    """Sum over all labelings of the vertices in [n] of the A-entry product.
 
-    Each ``(src, trg, letter)`` triple contributes the letter's entry
+    Each ``(src, trg, matrix)`` triple contributes the matrix's entry
     [trg, src]; one einsum contracts each connected component, and a vertex
-    without A-edges counts N labels.
+    without A-edges counts n labels.
     """
     total = 1.0 + 0.0j
     for comp in _components(vertices, [(s, t) for s, t, _ in triples]):
         idx = {v: i for i, v in enumerate(sorted(comp, key=repr))}
         operands = []
-        for s, t, letter in triples:
+        for s, t, mat in triples:
             if s in comp:
-                operands += [family.letter_matrix(letter), [idx[t], idx[s]]]
-        total *= complex(np.einsum(*operands, [])) if operands else family.N
+                operands += [mat, [idx[t], idx[s]]]
+        total *= complex(np.einsum(*operands, [])) if operands else n
     return total
 
 
 def graph_trace(graph, family):
     """Unrestricted trace: sum over all vertex labelings of the A-entry product."""
-    return _triples_trace(graph.vertices, _a_triples(graph), family)
+    return _triples_trace(graph.vertices, _a_triples(graph, family), family.N)
 
 
 def _mobius(part):
@@ -466,12 +469,12 @@ def _mobius(part):
     return out
 
 
-def _support_injective_trace(support, triples, family):
+def _support_injective_trace(support, triples, n):
     total = []
     for part in set_partitions(sorted(support, key=repr)):
         vmap = {v: i for i, b in enumerate(part) for v in b}
-        relabelled = [(vmap[s], vmap[t], letter) for s, t, letter in triples]
-        total.append(_mobius(part) * _triples_trace(range(len(part)), relabelled, family))
+        relabelled = [(vmap[s], vmap[t], mat) for s, t, mat in triples]
+        total.append(_mobius(part) * _triples_trace(range(len(part)), relabelled, n))
     return complex(
         math.fsum(t.real for t in total), math.fsum(t.imag for t in total)
     )
@@ -488,9 +491,9 @@ def injective_trace(graph, family):
     nverts = len(set(graph.vertices))
     if nverts > n:
         return 0.0 + 0.0j
-    triples = _a_triples(graph)
+    triples = _a_triples(graph, family)
     support = {v for s, t, _ in triples for v in (s, t)}
-    base = _support_injective_trace(support, triples, family) if support else 1.0
+    base = _support_injective_trace(support, triples, n) if support else 1.0
     return base * math.perm(n - len(support), nverts - len(support))
 
 

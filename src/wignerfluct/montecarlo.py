@@ -6,13 +6,14 @@ traces.  Replicates run in blocks of about BLOCK_ELEMS matrix entries; for
 N > 90 a block is one replicate.  Each replicate draws from its own
 (seed, ensemble, replicate) Philox stream, and the (b, N, N) draws of one
 id in a block are one ``fill_wigners`` call on the block's keys; a thread
-computes an id's keys for up to KEY_CHUNK replicates of its blocks in one
-``stream_keys`` call.  A block writes only its own slice of the output, so
-blocks run in any order: when a block is one replicate and the process
-may use more than one core, the calling thread and one helper thread per
-further core each run an interleaved share of the blocks (numpy releases
-the GIL in the sampler and the products).  Smaller blocks, whose cost is Python overhead, run in order
-on the calling thread.
+computes an id's keys for all the replicates of its blocks in one
+``stream_keys`` call, before its first block.  A block writes only its
+own slice of the output, so blocks run in any order: when a block is one
+replicate and the process may use more than one core, the calling thread
+and one helper thread per further core each run an interleaved share of
+the blocks (numpy releases the GIL in the sampler and the products).
+Smaller blocks, whose cost is Python overhead, run in order on the
+calling thread.
 Within a block the words run sorted by their Wigner ids, longer words
 last among those on the same ids.  An id is drawn when its first word
 needs it, and after its last word its draw and the block's products on it
@@ -30,21 +31,23 @@ halves and the halves that words share are computed once, and a single
 factor is one ``DetFamily.times_into`` product.  A one-factor word is one
 ``DetFamily.trace_times`` call: on a letter with at most one nonzero per
 column, the identity among them, it sums the entries of X that the letter
-picks, without forming X A.
+picks, without forming X A.  The letters are read only through
+``DetFamily.operand``, whose cache is filled before the threads start.  A
+degree-0 word's constant trace is the sum of ``DetFamily.word_diagonal``
+of its factors, as ``phi`` reads it.
 Covariances are computed without conjugation on the second factor,
 matching the limiting bilinear form; standard errors use batch means.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import fill_wigners, stream_keys, wigner_dtype
+from .ensembles import _view, fill_wigners, stream_keys, wigner_dtype
 
 DEFAULT_BATCHES = 40
 # replicates empirical_cov needs: with two, both centered products are
@@ -55,7 +58,6 @@ MIN_COV_REPLICATES = 3
 # memory alone (one block of all R = 4000 at N = 8, 2**18 entries, raised
 # the peak resident memory of that run by about a fifth)
 BLOCK_ELEMS = 2**14
-KEY_CHUNK = 256  # replicates of a thread's share whose keys one call computes
 
 
 @dataclass
@@ -93,8 +95,7 @@ class _Slabs:
     def array(self, shape, dtype):
         slab = self.take()
         self.lent[id(slab)] = slab
-        dtype = np.dtype(dtype)
-        return slab[:math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
+        return _view(slab, 0, shape, dtype)
 
     def release(self, arrays):
         """Give back the slabs behind ``arrays``; other arrays are left alone."""
@@ -177,7 +178,7 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
     words = []
     for mono in data:
         if mono.degree == 0:
-            data[mono][:] = np.trace(family.letter_matrix(mono.scalar_letter))
+            data[mono][:] = family.word_diagonal(mono.scalar_letter.factors).sum()
         else:
             words.append(mono)
     # words on the same ids run together, longer words later, so that the
@@ -190,9 +191,8 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
     # operands are built on first use: build each one here, or the threads,
     # which start on the same first word, would each build it
     for mono in words:
-        for _, letter in mono.pairs:
-            if mono.degree == 1 or not letter.is_identity:
-                family.operand(letter)
+        for letter in mono.det_letters:
+            family.operand(letter)
     block = max(1, BLOCK_ELEMS // (n * n))
 
     def draw(wid, keys, slabs):
@@ -205,13 +205,12 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
         return x
 
     def run_blocks(starts, slabs):
-        per = max(1, KEY_CHUNK // block)  # blocks whose keys one call computes
+        # only the last block of all can be short, and it ends its share
+        share = [i for s in starts for i in range(s, min(s + block, r))]
+        keys = {wid: stream_keys(master_seed, index[wid], share) for wid in wids}
         for b, start in enumerate(starts):
             reps = range(start, min(start + block, r))
-            if b % per == 0:
-                chunk = [i for s in starts[b:b + per] for i in range(s, min(s + block, r))]
-                keys = {wid: stream_keys(master_seed, index[wid], chunk) for wid in wids}
-            at = b % per * block
+            at = b * block
             xmats = {}
             cache = {}
             for mono, drop in zip(words, done):

@@ -18,7 +18,9 @@ gathers as gathers: their diagonals, all that phi and phi_hadamard read,
 cost O(N) a factor.  Any other word is a dense product, one
 ``DetFamily.times_into`` call per letter after the first, as in Monte
 Carlo, which passes its pool's allocator where ``times`` passes
-``np.empty``.
+``np.empty``.  The family caches each letter once, as its operand, the
+form ``times`` applies; dense views of letters and words are built from
+the operands on request and not kept.
 """
 
 from __future__ import annotations
@@ -94,9 +96,9 @@ class DetFamily:
     array; any other member as its dense matrix, float when it is real.  A
     dense array given for a member is scanned once, here.  Letters and
     words made only of gathers compose as gathers, so their traces and
-    diagonals cost O(N) a factor; ``letter_matrix``, ``word_matrix`` and
-    ``matrices`` give dense arrays on request, and do not keep those of
-    gathers.
+    diagonals cost O(N) a factor.  ``operand`` is the one per-letter cache;
+    ``letter_matrix``, ``word_matrix`` and ``matrices`` build dense arrays
+    from it on request and do not keep them.
 
     With ``norm_bound`` b, each matrix's operator norm must be at most
     b (1 + 1e-9).  A gather's norm is exact: the square root of its largest
@@ -139,8 +141,6 @@ class DetFamily:
                         "matrix %d has norm %.6g > bound %.6g" % (i, norm, norm_bound)
                     )
         self.norm_bound = norm_bound
-        self._letter_cache = {}
-        self._factors = {}
         self._operands = {}
 
     @property
@@ -153,67 +153,61 @@ class DetFamily:
             raise IndexError("family has no matrix with index %d" % j)
         return self._members[j]
 
-    def _factor(self, factor):
-        """A flagged member as a Gather, cached, or None if it is not one."""
-        if factor not in self._factors:
-            j, star, transpose = factor
-            g = self._member(j)
-            if isinstance(g, Gather):
-                if star:
-                    g = Gather(g[0], g[1].conj())
-                if star != transpose:  # the adjoint is the transpose of the conjugate
-                    g = _transpose(g)
-            else:
-                g = None
-            self._factors[factor] = g
-        return self._factors[factor]
-
-    def _gather(self, letter):
-        """The letter as a Gather, or None if a factor is not one."""
-        if letter.is_identity:
+    def _gather(self, factors):
+        """The product of flagged members as a Gather, or None if one is not a gather."""
+        if not factors:
             return Gather(np.arange(self.N), np.ones(self.N))
-        gathers = [self._factor(factor) for factor in letter.factors]
-        return None if None in gathers else functools.reduce(_compose, gathers)
+        ops = []
+        for f in factors:
+            ops.append(self.operand(DetLetter((f,))))
+            if not isinstance(ops[-1], Gather):
+                return None
+        return functools.reduce(_compose, ops)
 
     def letter_matrix(self, letter):
-        """Dense complex matrix of a (possibly fused) letter, cached unless a gather."""
-        cached = self._letter_cache.get(letter)
-        if cached is not None:
-            return cached
-        out = None
-        for j, star, transpose in letter.factors:
-            m = _matrix(self._member(j))
-            if star:
-                m = m.conj().T
-            if transpose:
-                m = m.T
-            # I @ A is exact, so the first factor is taken as it is
-            out = m if out is None else out @ m
-        if out is None:
-            out = np.eye(self.N, dtype=complex)
-        if not all(isinstance(self._members[j], Gather) for j, _, _ in letter.factors):
-            self._letter_cache[letter] = out
-        return out
+        """Dense complex matrix of a (possibly fused) letter (read-only), from its operand."""
+        return _matrix(self.operand(letter))
 
     def operand(self, letter):
         """The letter as ``times`` applies it, built on first use and cached.
 
-        A letter with at most one nonzero per column is a Gather (rows,
-        weights): column j is weights[j] * e_rows[j].  Any other letter is
-        its dense matrix.  Either is downcast to float when its imaginary
-        part is 0.  A letter of gathers composes as one; a letter with a
-        dense factor, or the transpose of a gather that is not one, is
-        scanned from its dense product.
+        This is the family's one cache of letters.  A letter with at most
+        one nonzero per column is a Gather (rows, weights): column j is
+        weights[j] * e_rows[j].  Any other letter is its dense matrix.
+        Either is downcast to float when its imaginary part is 0.  A flagged
+        gather member is conjugated and transposed as a gather, and a letter
+        of several factors whose one-factor operands are all gathers is
+        their composition.  A dense member is itself; any other letter is
+        scanned from the dense product of its flagged members.
         """
         got = self._operands.get(letter)
         if got is None:
-            got = self._gather(letter)
-            if got is not None:
-                got = Gather(got[0], _real(got[1]))
-            elif len(letter.factors) == 1 and not any(letter.factors[0][1:]):
-                got = self._members[letter.factors[0][0]]  # a dense member, as it is held
+            factors = letter.factors
+            if len(factors) != 1:
+                got = self._gather(factors)
             else:
-                got = _scan(_real(self.letter_matrix(letter)))
+                (j, star, transpose), = factors
+                got = self._member(j)
+                if isinstance(got, Gather):
+                    if star:
+                        got = Gather(got[0], got[1].conj())
+                    if star != transpose:  # the adjoint is the transpose of the conjugate
+                        got = _transpose(got)
+                elif star or transpose:
+                    got = None
+            if isinstance(got, Gather):
+                got = Gather(got[0], _real(got[1]))
+            elif got is None:
+                out = None
+                for j, star, transpose in factors:
+                    m = _matrix(self._member(j))
+                    if star:
+                        m = m.conj().T
+                    if transpose:
+                        m = m.T
+                    # I @ A is exact, so the first factor is taken as it is
+                    out = m if out is None else out @ m
+                got = _scan(_real(out))
             self._operands[letter] = got
         return got
 
@@ -264,20 +258,20 @@ class DetFamily:
         first = self.letter_matrix(letters[0] if letters else DetLetter())
         return functools.reduce(self.times, letters[1:], first)
 
-    def word_diagonal(self, letters):
-        """The complex diagonal of a word's product matrix (read-only).
+    def word_diagonal(self, factors):
+        """The complex diagonal of the product of a tuple of flagged members (read-only).
 
-        A word of gathers composes factor by factor, left to right as
+        A product of gathers composes factor by factor, left to right as
         ``times`` multiplies, to one gather, whose diagonal holds the weights
-        at its fixed points and 0 elsewhere: O(N) a factor, and on a letter
-        per factor its sum has the bits of the dense product's trace.  Any
-        other word is the diagonal of ``word_matrix``, and so is the empty
-        word, the identity, in a family that holds a dense member, where an
-        N x N array exists already.
+        at its fixed points and 0 elsewhere: O(N) a factor, and its sum has
+        the bits of the trace of ``word_matrix`` on a letter per factor.
+        Any other product is the diagonal of that ``word_matrix``, and so is
+        the empty product, the identity, in a family that holds a dense
+        member, where an N x N array exists already.
         """
-        g = self._gather(DetLetter(_word_key(letters)))
-        if g is None or not letters and self._holds_dense:
-            return np.diagonal(self.word_matrix(letters))
+        g = self._gather(factors)
+        if g is None or not factors and self._holds_dense:
+            return np.diagonal(self.word_matrix([DetLetter((f,)) for f in factors]))
         rows, weights = g
         out = np.zeros(self.N, dtype=complex)
         fixed = rows == np.arange(self.N)
@@ -314,8 +308,7 @@ class FiniteNState:
         got = self._phi.get(key)
         if got is None:
             rotations = [key[i:] + key[:i] for i in range(len(key))]
-            word = [DetLetter((f,)) for f in min(rotations)]
-            got = complex(self.family.word_diagonal(word).sum() / self.N)
+            got = complex(self.family.word_diagonal(min(rotations)).sum() / self.N)
             self._phi.update(dict.fromkeys(rotations, got))
         return got
 
@@ -326,7 +319,7 @@ class FiniteNState:
             # a word and its transpose share a diagonal: take the one with fewer t flags
             pa, pb = [(k, DetLetter(k).transpose().factors) for k in (ka, kb)]
             least = sorted(min(t, key=lambda k: (sum(f[2] for f in k), k)) for t in (pa, pb))
-            p, q = [self.family.word_diagonal([DetLetter((f,)) for f in k]) for k in least]
+            p, q = [self.family.word_diagonal(k) for k in least]
             got = complex(np.sum(p * q) / self.N)
             for a in pa:
                 for b in pb:

@@ -149,9 +149,9 @@ def parse_word(text):
     """Parse a word string like ``"x1 a0 x2 a1*t"`` into a canonical Monomial.
 
     ``xID`` is a Wigner letter (ID is the ensemble id), ``aK`` the K-th
-    deterministic matrix of the family with optional ``*`` (adjoint) and
-    ``t`` (transpose) suffixes, at most one of each, and ``1`` (or ``I``)
-    the identity letter.
+    deterministic matrix of the family, K written in the digits 0-9, with
+    optional ``*`` (adjoint) and ``t`` (transpose) suffixes, at most one of
+    each, and ``1`` (or ``I``) the identity letter.
     """
     tokens = []
     for tok in text.split():
@@ -170,9 +170,8 @@ def parse_word(text):
                 raise ValueError("transpose flag is not supported on Wigner letters")
             tokens.append(("x*" if star else "x", ident))
         else:
-            try:
-                idx = int(ident)
-            except ValueError:
-                raise ValueError("deterministic index must be an integer in %r" % tok)
-            tokens.append(("a", DetLetter.base(idx, star=star, transpose=bool(tflag))))
+            # int() would also read "0_1" as 1
+            if not ident.isdigit():
+                raise ValueError("deterministic index must be digits 0-9 in %r" % tok)
+            tokens.append(("a", DetLetter.base(int(ident), star=star, transpose=bool(tflag))))
     return canonicalize(tokens)

@@ -494,6 +494,17 @@ def test_two_stars_in_a_token_are_a_config_error(tmp_path, capsys):
             assert "Traceback" not in err
 
 
+def test_underscore_in_a_matrix_index_is_a_config_error(tmp_path, capsys):
+    # "a0_1" is no index: int() would read it as a1, another family matrix
+    doc = base_config()
+    doc["family"]["matrices"].append({"kind": "circulant", "first_row": [0, 1]})
+    doc["pairs"] = [["x1 a0_1", "x1 a1"]]
+    assert main(["theory", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: /pairs/0: "), err
+    assert "digits 0-9" in err and "Traceback" not in err
+
+
 def test_main_exit_code_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -420,6 +420,26 @@ def test_exact_tau2_walks_the_partitions_once(monkeypatch):
     assert calls == [8]
 
 
+def test_exact_tau2_builds_each_letter_once_per_injective_trace(monkeypatch):
+    # the criterion-8 pair: each injective trace builds the dense matrix of
+    # each of its letters once, not once per A-edge of each partition
+    n = 8
+    fam = DetFamily([diagonal_pattern(n, [1, -1]), circulant(n, [0, 1])])
+    asked = []
+    letter_matrix = fam.letter_matrix
+    fam.letter_matrix = lambda letter: asked[-1].append(letter) or letter_matrix(letter)
+    trace = graphs.injective_trace
+
+    def recording(graph, family):
+        asked.append([])
+        return trace(graph, family)
+
+    monkeypatch.setattr(graphs, "injective_trace", recording)
+    p = parse_word("x1 a0 x1 a1")
+    assert exact_tau2(p, p, fam, {"1": goe_law()}) != 0
+    assert asked and all(len(letters) == len(set(letters)) for letters in asked)
+
+
 @st.composite
 def _words(draw, ids):
     """One word of degree >= 1: Wigner letters, each followed by 0-2 A-letters."""

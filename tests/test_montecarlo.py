@@ -416,7 +416,7 @@ def test_run_traces_builds_one_generator_per_block(monkeypatch):
 @pytest.mark.parametrize("cores", [1, 2])
 def test_stream_keys_once_per_id_and_thread_share(monkeypatch, cores):
     # N = 400: blocks of one replicate.  Each thread computes an id's keys for
-    # up to KEY_CHUNK replicates of its share in one call, and slices them
+    # its whole share in one call, and slices them
     n, r = 400, 30
     monkeypatch.setattr(montecarlo, "_cores", lambda: cores)
     calls = []
@@ -432,13 +432,6 @@ def test_stream_keys_once_per_id_and_thread_share(monkeypatch, cores):
     assert sorted(calls) == sorted((k, r // cores) for k in (0, 1) for _ in range(cores))
     for mono in POOL_N400_WORDS:
         np.testing.assert_array_equal(runs[counted].traces(mono), runs[stream_keys].traces(mono))
-    # a share of more than KEY_CHUNK replicates takes one call per chunk
-    monkeypatch.setattr(montecarlo, "KEY_CHUNK", 8)
-    del calls[:]
-    got = run_traces(POOL_N400_WORDS, n, r, POOL_N400_LAWS, family(n), 1234)
-    assert len(calls) == 2 * cores * -(-r // cores // 8)
-    for mono in POOL_N400_WORDS:
-        np.testing.assert_array_equal(got.traces(mono), runs[stream_keys].traces(mono))
 
 
 # words that share halves within a word and across words, on three ids, one
@@ -526,6 +519,14 @@ def test_degree_zero_monomial_constant():
     est, se = empirical_cov(samples, mono, mono)
     assert est == 0
     assert se == 0
+    # the constant is the trace of the dense letter, bit for bit, for a
+    # gather, a dense member and fused starred or transposed letters
+    fam = DetFamily(fam.matrices + [random_fixed(n, 3)])
+    monos = [parse_word(w) for w in ("a1", "a2", "a1* a0t", "a2t a1*")]
+    samples = run_traces(monos, n, 2, {}, fam, 0)
+    for mono in monos:
+        want = np.trace(fam.letter_matrix(mono.scalar_letter))
+        assert samples.traces(mono).tobytes() == np.full(2, want).tobytes(), str(mono)
 
 
 def test_empirical_cov_matches_numpy():

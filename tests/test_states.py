@@ -529,6 +529,25 @@ def test_gather_members_match_the_same_matrices_given_dense(n, seed, p, q):
         assert abs(state.phi_hadamard(p, q) - want) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 2**31), st.booleans(), ZOO_LETTERS, GATHER_LETTERS)
+def test_letter_matrix_is_the_flagged_dense_product(n, seed, gathers, zoo_letter, gather_letter):
+    # the dense view built from a letter's one cached operand: a one-factor
+    # letter has the bits of its flagged member, a fused one may round apart
+    if gathers:
+        fam, letter = family_from_json({"dim": n, "matrices": gather_zoo(n, seed)}), gather_letter
+    else:
+        fam, letter = letter_zoo(n, seed), zoo_letter
+    want = direct_matrix(fam, [letter])
+    for _ in range(2):  # built, then from the cached operand
+        got = fam.letter_matrix(letter)
+        assert got.dtype == complex and got.shape == (n, n)
+        if len(letter.factors) <= 1:
+            assert np.array_equal(got, want), letter
+        else:
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), letter
+
+
 def test_transpose_of_a_gather_that_is_no_permutation_is_dense():
     n = 5
     top = np.outer(np.eye(n)[0], np.full(n, 0.4))  # every column on row 0

@@ -81,6 +81,10 @@ def test_parse_errors():
         parse_word("y1")
     with pytest.raises(ValueError):
         parse_word("x1t a0")
+    # int() reads "0_1" as 1 and "1_0" as 10
+    for word in ("x1 a0_1", "a1_0"):
+        with pytest.raises(ValueError, match="digits"):
+            parse_word(word)
 
 
 @pytest.mark.parametrize("token", ["a1**", "a1*t*", "x1**"])
