@@ -205,12 +205,11 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
         return x
 
     def run_blocks(starts, slabs):
-        # only the last block of all can be short, and it ends its share
         share = [i for s in starts for i in range(s, min(s + block, r))]
         keys = {wid: stream_keys(master_seed, index[wid], share) for wid in wids}
         for b, start in enumerate(starts):
             reps = range(start, min(start + block, r))
-            at = b * block
+            at = b * block  # only the last block of all is short, and it ends its share
             xmats = {}
             cache = {}
             for mono, drop in zip(words, done):
