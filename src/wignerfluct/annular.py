@@ -10,15 +10,13 @@ The pairings are built, not searched for (Mingo-Nica, IMRN 2004).  One
 with l >= 1 through strings puts l spoke endpoints on each circle, leaves
 an even gap between consecutive endpoints, pairs each gap non-crossingly
 as a line, and joins the spokes in one of l rotations with the circles in
-opposite orientations.  ``pairing_table`` holds all pairings of one
-annulus as arrays, with their distinct Kreweras cycles and the through
-split of each, computed once per process in array passes; the sums over
-pairings read only it.  An ``AnnularPairing`` computes its own cycles,
-for the single-pairing API and as the tests' oracle.  The brute-force sweep
-over involutions with the genus count is kept only as a test oracle.
+opposite orientations.  ``pairing_table`` generates all pairings of one
+annulus and their distinct Kreweras cycles, with the through split of
+each, in array passes, once per process; the sums over pairings read only
+it.  An ``AnnularPairing`` computes its own cycles, for the single-pairing
+API and as the tests' oracle.  The brute-force sweep over involutions with
+the genus count is kept only as a test oracle.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
@@ -277,76 +275,116 @@ def _line_pairings(k):
     return tuple(out)
 
 
-def _circle_fillings(points, l):
-    """Spoke endpoints and gap pairings of one circle with l spokes.
+def _circle_fillings(points, l, size):
+    """Spoke endpoints and gap pairings of one circle with l spokes, as arrays.
 
-    ``points`` are the circle's positions in cyclic order.  Yields
-    (endpoints, partial): the l endpoints in increasing order, with an even
-    gap between each two cyclically consecutive ones, and ``partial`` a
-    point map {position: partner} pairing each gap non-crossingly as a line.
+    ``points`` are the circle's positions in cyclic order.  Row k of the
+    first array holds one filling's l endpoints in increasing order, with an
+    even gap between each two cyclically consecutive ones; row k of the
+    second its point map (length size + 1, 0 off the gaps), which pairs each
+    gap non-crossingly as a line.
     """
     c = len(points)
-    for ends in combinations(range(c), l):
-        gaps = [range(ends[i] + 1, ends[i + 1]) for i in range(l - 1)]
-        gaps.append(range(ends[-1] + 1, ends[0] + c))
+    ends, maps = [], []
+    for at in combinations(range(c), l):
+        gaps = [range(at[i] + 1, at[i + 1]) for i in range(l - 1)]
+        gaps.append(range(at[-1] + 1, at[0] + c))
         if any(len(g) % 2 for g in gaps):
             continue
-        endpoints = tuple(points[e] for e in ends)
         for choice in product(*(_line_pairings(len(g)) for g in gaps)):
-            partial = {}
+            partial = [0] * (size + 1)
             for gap, pairs in zip(gaps, choice):
                 for a, b in pairs:
                     u, v = points[gap[a] % c], points[gap[b] % c]
                     partial[u], partial[v] = v, u
-            yield endpoints, partial
+            ends.append([points[e] for e in at])
+            maps.append(partial)
+    return (np.array(ends, dtype=np.int8).reshape(-1, l),
+            np.array(maps, dtype=np.int8).reshape(-1, size + 1))
 
 
 def _nc2_matches(m, n):
-    """Sorted match lists of the (m, n)-annulus."""
+    """The match rows of the (m, n)-annulus, an int8 array sorted as lists sort."""
     size = m + n
-    matches = []
-    outer = range(1, m + 1)
-    inner = range(m + 1, size + 1)
+    parts = [np.zeros((0, size + 1), dtype=np.int8)]
     # m - l and n - l are even; m + n is even, so m % 2 fixes the parity
     for l in range(2 - m % 2, min(m, n) + 1, 2) if size % 2 == 0 else ():
-        inner_fillings = list(_circle_fillings(inner, l))
-        for out_ends, out_partial in _circle_fillings(outer, l):
-            for in_ends, in_partial in inner_fillings:
-                base = [0] * (size + 1)
-                for u, v in out_partial.items():
-                    base[u] = v
-                for u, v in in_partial.items():
-                    base[u] = v
-                for r in range(l):
-                    match = list(base)
-                    for j, a in enumerate(out_ends):
-                        b = in_ends[(r - j) % l]
-                        match[a], match[b] = b, a
-                    matches.append(match)
-    matches.sort()
-    return matches
+        (out_ends, out_maps), (in_ends, in_maps) = [
+            _circle_fillings(range(a, b), l, size) for a, b in ((1, m + 1), (m + 1, size + 1))
+        ]
+        # each outer filling with each inner one, its spokes in each of l rotations
+        o, i, r = [g.ravel() for g in np.indices((len(out_ends), len(in_ends), l))]
+        match = out_maps[o] + in_maps[i]
+        rows = np.arange(len(match))
+        for j in range(l):
+            a, b = out_ends[o, j], in_ends[i, (r - j) % l]
+            match[rows, a], match[rows, b] = b, a
+        parts.append(match)
+    match = np.concatenate(parts)
+    return match[np.lexsort(match.T[:0:-1])]  # by column 1 first, then 2, ...
 
 
-# Row r is the r-th pairing by match: ``matches`` (int8), ``row_cycles[r]``
-# its Kreweras cycles by increasing minimum, as indices into ``cycles``,
-# ``splits`` each distinct cycle's through split (None on one circle), and
-# ``through[r, i - 1]`` whether outer position i ends a through string.
-PairingTable = namedtuple("PairingTable", "matches cycles splits row_cycles through")
+class PairingTable(namedtuple("PairingTable", "matches row_cycles through points outer")):
+    """The pairings of one annulus as arrays.
+
+    Row r is the r-th pairing by match: ``matches`` (int8), ``row_cycles[r]``
+    its Kreweras cycles by increasing minimum, as indices of the distinct
+    cycles, and ``through[r, i - 1]`` whether outer position i ends a
+    through string.  ``points[c]`` holds cycle c's points, 0-padded, as its
+    split reads them: a through cycle's outer arc, its first ``outer[c]``
+    points, then its inner arc; any other cycle from its minimum, with
+    ``outer[c]`` 0.  ``cycles`` and ``splits`` are the same as tuples.
+    """
+
+    @cached_property
+    def _read(self):
+        return [tuple(filter(None, p)) for p in self.points.tolist()]
+
+    @cached_property
+    def cycles(self):
+        """Each distinct cycle from its minimum."""
+        starts = [c.index(min(c)) for c in self._read]
+        return tuple([c[k:] + c[:k] for c, k in zip(self._read, starts)])
+
+    @cached_property
+    def splits(self):
+        """Each distinct cycle's (outer arc, inner arc), None on one circle."""
+        return tuple([(c[:o], c[o:]) if o else None
+                      for c, o in zip(self._read, self.outer.tolist())])
+
+
+def first_appearance(codes):
+    """(first, inverse): where each distinct code first appears, in that order,
+    and the place in ``first`` of each code.
+
+    Stable sorts only: np.unique's sort kernels add 0.6 MB of resident code.
+    """
+    order = np.argsort(codes, kind="stable")
+    head = np.ones(len(codes), dtype=bool)
+    head[1:] = codes[order[1:]] != codes[order[:-1]]
+    first = order[head]  # by code
+    by_place = np.argsort(first, kind="stable")
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[by_place] = np.arange(len(first))
+    inverse = np.empty(len(codes), dtype=np.intp)
+    inverse[order] = rank[np.cumsum(head) - 1]
+    return first[by_place], inverse
 
 
 @lru_cache(maxsize=None)
 def pairing_table(m, n):
     """The ``PairingTable`` of the (m, n)-annulus, for m, n >= 1.
 
-    Array passes over all rows: each point's orbit minimum under sigma *
-    gamma by pointer doubling, then each cycle walked from its minimum into
-    one integer of 5-bit point digits (a genus-0 cycle has at most
-    size / 2 + 1 <= 10 points, each below 32), and the integers deduplicated.
+    The rows come from ``_nc2_matches``.  Then array passes over all rows:
+    each point's orbit minimum under sigma * gamma by pointer doubling, then
+    each cycle walked from its minimum into one integer of 5-bit point
+    digits (a genus-0 cycle has at most size / 2 + 1 <= 10 points, each
+    below 32), and the integers deduplicated by ``first_appearance``.
     """
     size = m + n
     if size > DEFAULT_SIZE_LIMIT:
         raise ValueError("m+n=%d exceeds enumeration cap %d" % (size, DEFAULT_SIZE_LIMIT))
-    match = np.array(_nc2_matches(m, n), dtype=np.int8).reshape(-1, size + 1)
+    match = _nc2_matches(m, n)
     gam, code = _gamma_map((m, n)), [np.zeros(0, dtype=np.uint64)]
     # chunks of 10**4 points: no temporary reaches malloc's mmap threshold
     for part in np.array_split(match, -(-match.size // 10**4)) if len(match) else ():
@@ -358,24 +396,29 @@ def pairing_table(m, n):
             low, step = np.minimum(low, low[step]), step[step]
         start = np.flatnonzero((low == point) & (point > 0))  # row by row
         code.append(np.zeros(len(start), dtype=np.uint64))
-        at, home = start, start - point[start]
+        live, at = np.arange(len(start)), start  # the cycles not yet back at their minimum
         for shift in range(0, 5 * (size // 2 + 1), 5):
-            code[-1] |= point[at].astype(np.uint64) << np.uint64(shift)
-            at = np.where(succ[at] == start, home, succ[at])  # back at the minimum: to 0
-    found = {}  # not np.unique: its sort kernels add 0.6 MB of resident code
-    index = [found.setdefault(c, len(found)) for c in np.concatenate(code).tolist()]
-    found = np.array(list(found), dtype=np.uint64)
-    digits = (found[:, None] >> np.arange(0, 55, 5, dtype=np.uint64)) & np.uint64(31)
-    cycles = tuple([tuple(filter(None, c)) for c in digits.tolist()])
-    # a through cycle starts on the outer circle: inner from k, outer again from e
+            code[-1][live] |= point[at].astype(np.uint64) << np.uint64(shift)
+            at = succ[at]
+            on = at != start[live]
+            live, at = live[on], at[on]
+    code = np.concatenate(code)
+    first, index = first_appearance(code)
+    digits = ((code[first, None] >> np.arange(0, 55, 5, dtype=np.uint64)) & np.uint64(31))
+    digits = digits.astype(np.int8)
+    # a through cycle starts on the outer circle: inner from k, outer again from e;
+    # read from e, it is its outer arc and then its inner arc
     inner = digits > m
     ks = inner.argmax(axis=1)
     es = (~inner & (np.arange(11) > ks[:, None])).argmax(axis=1)
-    splits = [(c[e:] + c[:k], c[k:e]) if k else None
-              for c, k, e in zip(cycles, ks.tolist(), es.tolist())]
-    index = np.array(index, dtype=np.min_scalar_type(len(cycles)))
+    length = (digits > 0).sum(axis=1)
+    start = np.where(ks > 0, es, 0)[:, None]
+    points = np.take_along_axis(digits, (start + np.arange(11)) % length[:, None], 1)
+    points[np.arange(11) >= length[:, None]] = 0
+    outer = np.where(ks > 0, length - es + ks, 0).astype(np.int8)
+    index = index.astype(np.min_scalar_type(len(first)))
     rows = index.reshape(len(match), -1 if len(match) else 0)
-    return PairingTable(match, cycles, tuple(splits), rows, match[:, 1:m + 1] > m)
+    return PairingTable(match, rows, match[:, 1:m + 1] > m, points, outer)
 
 
 @lru_cache(maxsize=None)

@@ -33,10 +33,7 @@ Exit codes: 0 ok, 1 discrepancy (compare and report), 2 config, input,
 output or resource error.
 """
 
-from __future__ import annotations
-
 import argparse
-import csv
 import functools
 import json
 import math
@@ -56,15 +53,6 @@ except ImportError:
 from .annular import enumerate_nc2, filter_by_through
 from .covariance import WignerParams, phi2_terms
 from .ensembles import PRESETS, params_of, solve_law
-from .graphs import (
-    PARTITION_VERTEX_CAP,
-    EXACT_N_CAP,
-    build_cycle_graph,
-    classify,
-    exact_tau2,
-    weighted_partitions,
-)
-from .montecarlo import MIN_COV_REPLICATES, empirical_cov, empirical_cumulants, run_traces
 from .states import FiniteNState, MatrixSpecError, family_from_json
 from .words import parse_word
 
@@ -152,11 +140,11 @@ def _resolve_ensemble(wid, doc):
         law = PRESETS[name]()
     else:
         _require(doc, path, ["theta", "eta", "k4"])
-        law = solve_law(
-            _frac(doc["theta"], path + "/theta"),
-            _frac(doc["eta"], path + "/eta"),
-            _frac(doc["k4"], path + "/k4"),
-        )
+        values = [_frac(doc[k], "%s/%s" % (path, k)) for k in ("theta", "eta", "k4")]
+        try:
+            law = solve_law(*values)
+        except ValueError as exc:  # a law outside its domain
+            _fail(path, str(exc))
     theta, eta, k4 = params_of(law)
     return WignerParams(float(theta), float(eta), float(k4)), law
 
@@ -309,6 +297,8 @@ def cmd_theory(args):
 
 
 def _samples(cfg, family):
+    from .montecarlo import run_traces
+
     return run_traces(cfg.monomials(), family.N, cfg.r, cfg.laws, family, cfg.seed)
 
 
@@ -316,6 +306,8 @@ def _cumulants(cfg, samples):
     """Cumulants of orders 2-4 of each monomial's trace; none below R = 100."""
     if cfg.r < 100:
         return {}
+    from .montecarlo import empirical_cumulants
+
     return {
         str(mono): [
             {"order": o, "value": v, "std_error": se}
@@ -327,6 +319,8 @@ def _cumulants(cfg, samples):
 
 def _mc_config(args):
     """The config of a Monte Carlo command, which needs R >= 3."""
+    from .montecarlo import MIN_COV_REPLICATES
+
     cfg = parse_config(args.config)
     if cfg.r < MIN_COV_REPLICATES:
         _fail("/R", "Monte Carlo covariances need R >= %d" % MIN_COV_REPLICATES)
@@ -334,6 +328,8 @@ def _mc_config(args):
 
 
 def cmd_mc(args):
+    from .montecarlo import empirical_cov
+
     cfg = _mc_config(args)
     record = _base_record(cfg)
     record["mc"] = []
@@ -349,6 +345,8 @@ def cmd_mc(args):
                              "cumulants": _cumulants(cfg, samples)})
     _emit(record, args.out)
     if args.csv:
+        import csv
+
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["N", "p", "q", "estimate_re", "estimate_im", "std_error"])
@@ -369,6 +367,8 @@ def cmd_mc(args):
 
 def _oracle_value(cfg, family, p, q):
     """The exact covariance where the oracle's caps allow it, else None."""
+    from .graphs import EXACT_N_CAP, PARTITION_VERTEX_CAP, exact_tau2
+
     if 2 * (p.degree + q.degree) > PARTITION_VERTEX_CAP or family.N > EXACT_N_CAP:
         return None
     return exact_tau2(p, q, family, cfg.laws)
@@ -388,6 +388,8 @@ def _oracle_rows(cfg, n):
 
 def _dump_partitions(cfg, runs, path):
     """The terms of exact_tau2's walk, once for each pair with a value at some N."""
+    from .graphs import build_cycle_graph, classify, weighted_partitions
+
     dump_rows = []
     for i, (p, q) in enumerate(cfg.pairs):
         if not (p.degree and q.degree and any("value" in rows[i] for rows in runs)):
@@ -405,6 +407,8 @@ def _dump_partitions(cfg, runs, path):
                     float(w2),
                 ]
             )
+    import csv
+
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["p", "q", "partition", "q1", "q2", "q2p", "kinds", "omega_x2"])
@@ -423,6 +427,8 @@ def cmd_oracle(args):
 
 def cmd_compare(args, with_cumulants=False):
     """compare (and, with cumulants, report): theory against MC and the oracle."""
+    from .montecarlo import empirical_cov
+
     cfg = _mc_config(args)
     started = time.time()
     record = _base_record(cfg)
@@ -462,19 +468,31 @@ def cmd_compare(args, with_cumulants=False):
     return 1 if any_flag else 0
 
 
-def build_parser():
+COMMANDS = ("pairings", "theory", "mc", "oracle", "compare", "report")
+
+
+def build_parser(commands=COMMANDS):
+    """The parser, with a subparser for each of ``commands``.
+
+    Each subparser costs argparse about 0.6 ms of gettext lookups, so
+    ``main`` builds only the one that it runs; the usage lines are the same
+    as with all of them.
+    """
     parser = argparse.ArgumentParser(
         prog="wignerfluct",
+        usage="%%(prog)s [-h] {%s} ..." % ",".join(COMMANDS),
         description="Trace fluctuation covariance for Wigner plus deterministic matrices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pairings", help="enumerate annular non-crossing pairings")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--through", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_pairings)
+    if "pairings" in commands:
+        p = sub.add_parser("pairings", prog="wignerfluct pairings",
+                           help="enumerate annular non-crossing pairings")
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--through", type=int, default=None)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_pairings)
 
     for name, fn, extra in [
         ("theory", cmd_theory, []),
@@ -483,7 +501,9 @@ def build_parser():
         ("compare", cmd_compare, []),
         ("report", functools.partial(cmd_compare, with_cumulants=True), []),
     ]:
-        p = sub.add_parser(name)
+        if name not in commands:
+            continue
+        p = sub.add_parser(name, prog="wignerfluct " + name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         if "csv" in extra:
@@ -495,7 +515,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

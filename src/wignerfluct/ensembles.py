@@ -22,8 +22,6 @@ draw.  ``sample_wigners`` allocates both buffers and fills them, and
 ``sample_wigner`` is its block of one.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import operator

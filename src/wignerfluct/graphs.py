@@ -20,8 +20,6 @@ topological helpers (bridges, two-edge-connected forests, graphs of
 deterministic components) classify which partitions survive as N grows.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from fractions import Fraction

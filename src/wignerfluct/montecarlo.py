@@ -39,8 +39,6 @@ Covariances are computed without conjugation on the second factor,
 matching the limiting bilinear form; standard errors use batch means.
 """
 
-from __future__ import annotations
-
 import os
 import threading
 from dataclasses import dataclass
@@ -48,16 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import _view, fill_wigners, stream_keys, wigner_dtype
+from .products import BLOCK_ELEMS  # matrix entries per Wigner id in one block
 
 DEFAULT_BATCHES = 40
 # replicates empirical_cov needs: with two, both centered products are
 # equal, so the batch-means standard error is 0 whatever the data
 MIN_COV_REPLICATES = 3
-# matrix entries per Wigner id in one block of replicates: enough to take
-# the per-replicate Python overhead off small N, small enough to leave peak
-# memory alone (one block of all R = 4000 at N = 8, 2**18 entries, raised
-# the peak resident memory of that run by about a fifth)
-BLOCK_ELEMS = 2**14
 
 
 @dataclass

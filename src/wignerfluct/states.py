@@ -3,27 +3,33 @@
 One state class, ``FiniteNState``, evaluates the functionals the covariance
 sum needs and memoizes them as scalars under every equivalent key: every
 rotation of the word for ``phi``, both transposes of each argument in both
-orders for ``phi_hadamard``.  A miss is computed on the state's family
-(the covariance needs its Hadamard functionals, not only its
-*-distribution), on one representative of its class, a letter per factor:
-the least rotation, or of each argument and its transpose the one with
-fewer transposed factors, in sorted order: no value depends on which key,
-or pair, came first.  ``phi_transpose(p, q)`` is ``phi`` of p followed by
-the reversed transposes of q.  ``CycleValues`` asks the state once for each
-distinct Kreweras cycle of one letter list.
+orders for ``phi_hadamard``.  A key is a word's ``word_key``, one character
+a flagged factor.  A miss is computed on the state's family (the
+covariance needs its Hadamard functionals, not only its *-distribution),
+on one representative of its class: the least rotation, or of each
+argument and its transpose the one with fewer transposed factors, in
+sorted order: no value depends on which key, or pair, came first.
+``FiniteNState.evaluate`` takes many words and pairs at once and computes
+all their missing classes in one pass of ``DetFamily.word_diagonals``;
+``phi`` and ``phi_hadamard`` are its one-word case.  ``phi_transpose(p, q)``
+is ``phi`` of p followed by the reversed transposes of q.  ``CycleValues``
+asks the state once for each distinct Kreweras cycle of one letter list.
 
 A family holds each member with at most one nonzero per column as a
 ``Gather`` (rows, weights), with no N x N array, and composes words of
 gathers as gathers: their diagonals, all that phi and phi_hadamard read,
-cost O(N) a factor.  Any other word is a dense product, one
-``DetFamily.times_into`` call per letter after the first, as in Monte
-Carlo, which passes its pool's allocator where ``times`` passes
+cost O(N) a factor.  Any other word is a dense product, built left to
+right with each letter's own operation: a matmul for a dense operand, a
+take-and-scale for a gather.  ``word_diagonals`` (``products``) builds words
+of one length together, as (b, N) rows and weights or as a (b, N, N) stack
+of products, at most BLOCK_ELEMS matrix entries a stack.  ``word_diagonal`` and
+``word_matrix`` build one word, one ``times`` a letter: Monte Carlo's
+constant traces and the tests' oracle.  Monte Carlo multiplies by
+``times_into``, with its pool's allocator where ``times`` passes
 ``np.empty``.  The family caches each letter once, as its operand, the
 form ``times`` applies; dense views of letters and words are built from
 the operands on request and not kept.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -31,61 +37,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from .products import (
+    BLOCK_ELEMS,
+    Gather,
+    _compose,
+    _matrix,
+    _real,
+    _scan,
+    _transpose,
+    word_diagonals,
+)
 from .words import DetLetter
-
-
-class Gather(tuple):
-    """An N x N matrix with at most one nonzero per column, as (rows, weights).
-
-    Column j is weights[j] * e_rows[j]; a zero column has weight 0.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, rows, weights):
-        return super().__new__(cls, (rows, weights))
-
-
-def _real(a):
-    """``a``, or a real copy of it when its imaginary part is 0."""
-    return a.real.copy() if a.dtype.kind == "c" and not a.imag.any() else a
-
-
-def _scan(m):
-    """A dense matrix as a Gather if no column has two nonzeros, else itself."""
-    nonzero = m != 0
-    if nonzero.sum(axis=0).max() > 1:
-        return m
-    rows = nonzero.argmax(axis=0)
-    return Gather(rows, m[rows, np.arange(len(m))])
-
-
-def _matrix(member):
-    """The dense complex matrix of a member, a new array for a Gather."""
-    if not isinstance(member, Gather):
-        return np.asarray(member, dtype=complex)
-    rows, weights = member
-    out = np.zeros((len(rows), len(rows)), dtype=complex)
-    out[rows, np.arange(len(rows))] = weights
-    return out
-
-
-def _transpose(g):
-    """The transpose of a Gather, or None if two of its nonzeros share a row."""
-    rows, weights = g
-    cols = np.flatnonzero(weights)
-    if np.bincount(rows[cols], minlength=1).max() > 1:
-        return None
-    t_rows, t_weights = np.zeros_like(rows), np.zeros_like(weights)
-    t_rows[rows[cols]] = cols
-    t_weights[rows[cols]] = weights[cols]
-    return Gather(t_rows, t_weights)
-
-
-def _compose(a, b):
-    """The Gather of a @ b: rows r_a[r_b], weights w_a[r_b] * w_b, as ``times`` multiplies."""
-    (ra, wa), (rb, wb) = a, b
-    return Gather(ra[rb], wa[rb] * wb)
 
 
 class DetFamily:
@@ -278,9 +240,61 @@ class DetFamily:
         out[fixed] = weights[fixed]
         return out
 
+    def word_diagonals(self, words):
+        """``word_diagonal`` of each tuple of flagged members, in one stacked pass.
 
-def _word_key(letters):
-    return tuple(f for letter in letters for f in letter.factors)
+        The rows of one array, with the bits of ``word_diagonal``; see
+        ``products.word_diagonals``.
+        """
+        return word_diagonals(self, words)
+
+
+def word_key(factors):
+    """The state's key of a tuple of flagged members: a str of one character
+    4 j + 2 star + transpose a factor, which sorts as the tuple does and
+    caches its hash.
+    """
+    return "".join([chr(4 * j + 2 * s + t) for j, s, t in factors])
+
+
+@functools.lru_cache(maxsize=None)
+def _factor(char):
+    code = ord(char)
+    return code >> 2, bool(code & 2), bool(code & 1)
+
+
+def _factors(key):
+    return tuple(map(_factor, key))
+
+
+def _letters_key(letters):
+    return word_key([f for letter in letters for f in letter.factors])
+
+
+class _Table(dict):
+    """A ``str.translate`` table that maps each code point by ``rule`` on first use."""
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, code):
+        self[code] = got = self.rule(code)
+        return got
+
+
+_FLIP_T = _Table(lambda code: code ^ 1)
+_T_ONLY = _Table(lambda code: code if code & 1 else None)
+
+
+def _transpose_key(key):
+    return key[::-1].translate(_FLIP_T)
+
+
+def _fewer_t(key, transposed):
+    """Of a word and its transpose, the one with fewer t flags, or the lesser."""
+    flags = 2 * len(key.translate(_T_ONLY))
+    return key if flags < len(key) else transposed if flags > len(key) else min(key, transposed)
 
 
 class FiniteNState:
@@ -288,8 +302,10 @@ class FiniteNState:
 
     phi is the normalized trace, phi_hadamard the normalized trace of the
     entry-wise product (which only sees diagonals), phi_transpose the
-    normalized trace of p q^t.  Values are computed on ``family`` on a
-    class's first miss, on its one representative.
+    normalized trace of p q^t.  ``evaluate`` computes the classes that are
+    missing, each on its one representative, in one pass of
+    ``DetFamily.word_diagonals``; ``phi`` and ``phi_hadamard`` are its
+    one-word case.
     """
 
     def __init__(self, family):
@@ -302,33 +318,61 @@ class FiniteNState:
         return self.family.N
 
     def phi(self, letters):
-        key = _word_key(letters)
-        if not key:
-            return 1.0 + 0.0j
-        got = self._phi.get(key)
-        if got is None:
-            rotations = [key[i:] + key[:i] for i in range(len(key))]
-            got = complex(self.family.word_diagonal(min(rotations)).sum() / self.N)
-            self._phi.update(dict.fromkeys(rotations, got))
-        return got
+        return self.evaluate([_letters_key(letters)], ())[0][0]
 
     def phi_hadamard(self, letters_p, letters_q):
-        ka, kb = _word_key(letters_p), _word_key(letters_q)
-        got = self._hadamard.get((ka, kb))
-        if got is None:
-            # a word and its transpose share a diagonal: take the one with fewer t flags
-            pa, pb = [(k, DetLetter(k).transpose().factors) for k in (ka, kb)]
-            least = sorted(min(t, key=lambda k: (sum(f[2] for f in k), k)) for t in (pa, pb))
-            p, q = [self.family.word_diagonal(k) for k in least]
-            got = complex(np.sum(p * q) / self.N)
-            for a in pa:
-                for b in pb:
-                    self._hadamard[a, b] = self._hadamard[b, a] = got
-        return got
+        return self.evaluate((), [(_letters_key(letters_p), _letters_key(letters_q))])[1][0]
 
     def phi_transpose(self, letters_p, letters_q):
         rev = [letter.transpose() for letter in reversed(letters_q)]
         return self.phi(list(letters_p) + rev)
+
+    def evaluate(self, keys, pairs):
+        """phi of each word in ``keys``, and phi_hadamard of each pair in ``pairs``, by ``word_key``.
+
+        A miss names its class's representative: for phi the least
+        rotation, for phi_hadamard of each argument and its transpose the
+        one with fewer transposed factors, the two in sorted order.  The
+        representatives' diagonals are computed together, at most
+        BLOCK_ELEMS entries of them at a time, and each value is stored
+        under every key of its class.
+        """
+        jobs, queued = [], set()  # (representative words, the memo keys of their class)
+        memo = self._phi
+        for key in keys:
+            if key and key not in memo and key not in queued:
+                twice, n = key + key, len(key)
+                rotations = [twice[i:i + n] for i in range(n)]
+                jobs.append(((min(rotations),), rotations))
+                queued.update(rotations)
+        memo = self._hadamard
+        for pair in pairs:
+            if pair not in memo and pair not in queued:
+                # a word and its transpose share a diagonal: take the one with fewer t flags
+                pa, pb = [(k, _transpose_key(k)) for k in pair]
+                least = tuple(sorted([_fewer_t(*pa), _fewer_t(*pb)]))
+                both = [(a, b) for a in pa for b in pb]
+                jobs.append((least, both + [(b, a) for a, b in both]))
+                queued.update(jobs[-1][1])
+        per = max(1, BLOCK_ELEMS // (2 * self.N))  # jobs a pass: two diagonals each at most
+        for s in range(0, len(jobs), per):
+            self._fill(jobs[s:s + per])
+        return ([self._phi[k] if k else 1.0 + 0.0j for k in keys],
+                [self._hadamard[p] for p in pairs])
+
+    def _fill(self, jobs):
+        """Each job's value under its keys: the sum of its word's diagonal, or of its two's product."""
+        place = {}  # each distinct word's row of diagonals
+        at = [[place.setdefault(w, len(place)) for w in words] for words, _ in jobs]
+        diag = self.family.word_diagonals(list(map(_factors, place)))
+        one = np.array([len(a) == 1 for a in at], dtype=bool)
+        first = np.array([a[0] for a in at], dtype=np.intp)
+        second = np.array([a[-1] for a in at], dtype=np.intp)
+        values = np.empty(len(jobs), dtype=complex)
+        values[one] = diag[first[one]].sum(axis=1) / self.N
+        values[~one] = (diag[first[~one]] * diag[second[~one]]).sum(axis=1) / self.N
+        for (words, keys), v in zip(jobs, values.tolist()):
+            (self._phi if len(words) == 1 else self._hadamard).update(dict.fromkeys(keys, v))
 
 
 class CycleValues:

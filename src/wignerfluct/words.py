@@ -7,8 +7,6 @@ A canonical monomial alternates Wigner letters and deterministic letters,
 legitimate because every word is evaluated inside a trace).
 """
 
-from __future__ import annotations
-
 import re
 from dataclasses import dataclass
 

@@ -133,6 +133,24 @@ def test_malformed_values_exit_with_config_error(tmp_path, capsys):
             assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("law, message", [
+    ({"theta": 2, "eta": 1, "k4": 0}, "theta must lie in [-1, 1]"),
+    ({"theta": -1.5, "eta": 1, "k4": 0}, "theta must lie in [-1, 1]"),
+    ({"theta": 0, "eta": -1, "k4": 0}, "eta must be >= 0"),
+    ({"theta": 0.5, "eta": 1, "k4": -1.5}, "k4 must be >= -1 - theta^2"),
+])
+def test_law_outside_its_domain_is_a_config_error(tmp_path, capsys, law, message):
+    # the error names the ensemble that holds the law
+    doc = base_config()
+    doc["ensembles"] = {"1": {"preset": "gue"}, "2": law}
+    with pytest.raises(ConfigError, match="^/ensembles/2: "):
+        parse_config(write_config(tmp_path, doc))
+    for command in ("theory", "mc", "compare"):
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2, command
+        err = capsys.readouterr().err
+        assert err == "config error: /ensembles/2: %s\n" % message, err
+
+
 def test_seed_flag_is_a_usage_error(tmp_path, capsys):
     # a run's seed is the config's, which the record and its hash carry
     cfg = write_config(tmp_path, base_config())
@@ -419,17 +437,18 @@ def test_compare_small_run_ok(tmp_path):
 
 
 def test_report_includes_cumulants(tmp_path, monkeypatch):
-    # compare computes no cumulants; report computes each monomial's once
-    from wignerfluct import cli
+    # compare computes no cumulants; report computes each monomial's once.
+    # cli imports montecarlo's functions when a command runs them
+    from wignerfluct import montecarlo
 
     calls = []
-    empirical_cumulants = cli.empirical_cumulants
+    empirical_cumulants = montecarlo.empirical_cumulants
 
     def counted(samples, mono):
         calls.append(str(mono))
         return empirical_cumulants(samples, mono)
 
-    monkeypatch.setattr(cli, "empirical_cumulants", counted)
+    monkeypatch.setattr(montecarlo, "empirical_cumulants", counted)
     doc = base_config()
     doc["N"] = 16
     doc["pairs"] = [["x1 a0", "x1 a0"], ["x1 a0", "x1 a0 x1 a0"]]
@@ -526,3 +545,21 @@ def test_monte_carlo_commands_need_three_replicates(tmp_path, capsys):
     # no Monte Carlo, so two replicates are fine
     for command in ("theory", "oracle"):
         assert main([command, "--config", cfg, "--out", out]) == 0, command
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["theory", "--help"], ["mc", "--help"], ["pairings", "--m", "2"],
+    ["theory", "--config", "c.json", "extra"], ["thoery"], [],
+])
+def test_main_parses_as_the_full_parser(argv, capsys):
+    # main builds only the subparser it runs; its help and usage errors read
+    # as those of the parser with every subcommand
+    from wignerfluct.cli import build_parser
+
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert got.value.code == full.value.code
+    assert capsys.readouterr() == want

@@ -73,3 +73,73 @@ def test_tracer_targets_resolve():
         if owner is None:
             missing.append((module_name, attr))
     assert missing == []
+
+
+# every name the package namespace exported when it imported each module eagerly
+EXPORTS = {
+    "annular": [
+        "AnnularPairing", "CyclePermutation", "enumerate_nc2", "filter_by_through", "gamma",
+        "is_annular_noncrossing", "is_annular_noncrossing_recursive", "is_non_mixing",
+        "kreweras",
+    ],
+    "covariance": ["GOE", "GUE", "RADEMACHER", "WignerParams", "phi2", "phi2_terms",
+                   "phi2_two_term"],
+    "ensembles": [
+        "EntryLaw", "SymmetricDiscreteLaw", "diagonal_moment", "entry_moment", "goe_law",
+        "gue_law", "params_of", "rademacher_law", "sample_wigner", "sample_wigners",
+        "solve_law", "stream_keys",
+    ],
+    "graphs": [
+        "LabeledGraph", "build_cycle_graph", "classify", "even_partitions", "exact_moment",
+        "exact_tau2", "injective_trace", "leaves_count", "omega_X", "quotient",
+        "set_partitions",
+    ],
+    "montecarlo": ["TraceSamples", "empirical_cov", "empirical_cumulants",
+                   "mixed_third_cumulant", "run_traces"],
+    "states": ["DetFamily", "FiniteNState", "eval_phi_K", "eval_phi_tilde_K",
+               "family_from_json"],
+    "words": ["DetLetter", "IDENTITY_LETTER", "Monomial", "canonicalize", "parse_word",
+              "s_transform"],
+}
+
+
+def test_package_exports_every_name_it_did():
+    namespace = {}
+    exec("from wignerfluct import *", namespace)
+    for module, names in EXPORTS.items():
+        owner = importlib.import_module("wignerfluct." + module)
+        for name in names:
+            assert getattr(wignerfluct, name) is getattr(owner, name), name
+            assert namespace[name] is getattr(owner, name), name
+        assert getattr(wignerfluct, module) is owner
+    assert wignerfluct.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        wignerfluct.nothing
+
+
+def test_theory_imports_no_monte_carlo_or_oracle_module(tmp_path):
+    # theory runs neither: with no bytecode cache, each import compiles its module
+    import json
+    import os
+    import subprocess
+    import sys
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "ensembles": {"1": {"theta": 0.5, "eta": 2, "k4": 1}},
+        "family": {"matrices": [{"kind": "diagonal_pattern", "values": [1, -1, 0.5]},
+                                {"kind": "circulant", "first_row": [0.5, 0.5]}]},
+        "pairs": [["x1 a0 x1 a1 x1 a0", "x1 a1 x1 a0 x1 a1"]],
+        "N": [8], "R": 2, "seed": 1,
+    }))
+    script = (
+        "import sys\n"
+        "import wignerfluct.cli\n"
+        "code = wignerfluct.cli.main(['theory', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, sorted(m for m in ('wignerfluct.graphs', 'wignerfluct.montecarlo',\n"
+        "                               'numpy.random') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out.json")],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert out.split() == ["0", "[]"], out

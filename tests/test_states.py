@@ -298,9 +298,9 @@ def factor_key(letters):
 def test_memo_misses_once_per_class(seed, words):
     fam = DetFamily([random_fixed(3, seed), random_fixed(3, seed + 1)])
     state = FiniteNState(fam)
-    products = []
-    word_matrix = fam.word_matrix
-    fam.word_matrix = lambda letters: products.append(1) or word_matrix(letters)
+    products = []  # one product chain per diagonal a class asks for
+    fill = state._fill
+    state._fill = lambda jobs: products.extend(w for words, _ in jobs for w in words) or fill(jobs)
 
     # phi: every rotation of the factor tuple, fused letters split or not
     classes = set()
@@ -548,14 +548,17 @@ def test_letter_matrix_is_the_flagged_dense_product(n, seed, gathers, zoo_letter
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), letter
 
 
-def test_transpose_of_a_gather_that_is_no_permutation_is_dense():
+def test_transpose_of_a_gather_that_is_no_permutation_is_dense(monkeypatch):
+    from wignerfluct import products
+
     n = 5
     top = np.outer(np.eye(n)[0], np.full(n, 0.4))  # every column on row 0
     fam = DetFamily([top, diagonal_pattern(n, [1, -1])])
     state = FiniteNState(fam)
-    products = []
-    word_matrix = fam.word_matrix
-    fam.word_matrix = lambda letters: products.append(1) or word_matrix(letters)
+    steps = []  # steps of dense word products
+    times_stack = products._times_stack
+    monkeypatch.setattr(
+        products, "_times_stack", lambda stack, op: steps.append(1) or times_stack(stack, op))
     d = np.diag([1.0, -1.0, 1.0, -1.0, 1.0])
     # a0 and a0*t (the entrywise conjugate) are gathers; a0t and a0* are not
     for star, transpose, dense, want in [
@@ -566,9 +569,9 @@ def test_transpose_of_a_gather_that_is_no_permutation_is_dense():
     ]:
         letter = DetLetter.base(0, star=star, transpose=transpose)
         assert isinstance(fam.operand(letter), np.ndarray) == dense
-        del products[:]
+        del steps[:]
         assert state.phi([letter, DetLetter.base(1)]) == pytest.approx(np.trace(want) / n)
-        assert len(products) == dense
+        assert len(steps) == dense
 
 
 def test_gather_families_take_no_dense_arrays():
@@ -595,3 +598,149 @@ def test_gather_families_take_no_dense_arrays():
     assert peak < 1 << 20
     want = phi2_terms(p, q, params, FiniteNState(family_from_json(dict(doc, dim=8))))
     assert terms.total == pytest.approx(want.total)
+
+
+def stacked_zoo(n, seed):
+    """Members of every kind the stacked pass tells apart, at any N >= 1."""
+    rng = np.random.default_rng(seed)
+    phased = np.zeros((n, n), dtype=complex)  # a permutation with complex weights
+    phased[rng.permutation(n), np.arange(n)] = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    signed = np.zeros((n, n))  # a real one with zero columns
+    signed[rng.permutation(n), np.arange(n)] = rng.choice([-1.5, 0.0, 0.5, 1.0], n)
+    top = np.zeros((n, n))  # a gather whose transpose is dense
+    top[0] = 0.4
+    return DetFamily([
+        phased,
+        signed,
+        top,
+        np.diag(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)),
+        rng.standard_normal((n, n)),
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+    ])
+
+
+STACKED_LETTERS = st.lists(
+    st.tuples(st.integers(0, 5), st.booleans(), st.booleans()), max_size=2
+).map(lambda factors: DetLetter(tuple(factors)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(0, 2**31),
+    st.integers(1, 3),
+    st.lists(st.lists(STACKED_LETTERS, max_size=6), min_size=1, max_size=9),
+)
+def test_stacked_pass_has_the_bits_of_the_per_word_path(n, seed, block, words):
+    # a stack holds ``block`` dense words, or block * N gather words, so the
+    # word counts fall on both sides of a stack's end
+    from unittest import mock
+
+    from wignerfluct import products, states
+
+    fam = stacked_zoo(n, seed)
+    keys = [factor_key(word) for word in words]
+    with mock.patch.object(products, "BLOCK_ELEMS", block * n * n), \
+            mock.patch.object(states, "BLOCK_ELEMS", block * n * n):
+        got = fam.word_diagonals(keys)
+        state = FiniteNState(fam)
+        phis, hadamards = state.evaluate(
+            [states.word_key(k) for k in keys],
+            [(states.word_key(a), states.word_key(b)) for a, b in zip(keys, keys[::-1])])
+    for key, row in zip(keys, got):
+        assert row.tobytes() == fam.word_diagonal(key).tobytes(), key
+    # phi on the least rotation, phi_hadamard on each word or its transpose,
+    # the one with fewer t flags, one word at a time as the per-word path did
+    for key, value in zip(keys, phis):
+        want = complex(fam.word_diagonal(cyclic_min(key)).sum() / n) if key else 1.0
+        assert value == want, key
+    for (a, b), value in zip(zip(keys, keys[::-1]), hadamards):
+        least = sorted(
+            min([k, DetLetter(k).transpose().factors], key=lambda k: (sum(f[2] for f in k), k))
+            for k in (a, b))
+        p, q = [fam.word_diagonal(k) for k in least]
+        assert value == complex(np.sum(p * q) / n), (a, b)
+
+
+def test_seven_plus_seven_pair_takes_few_products(monkeypatch):
+    # one stacked pass for all four channels of the theory_deg7_n8 seed-1
+    # pair: the per-word path took 2812 products, one per factor after the first
+    from wignerfluct import products
+    from wignerfluct.covariance import WignerParams, phi2_terms
+    from wignerfluct.words import parse_word
+
+    calls = []
+    for name in ("_times_stack", "_compose"):
+        fn = getattr(products, name)
+        monkeypatch.setattr(products, name, lambda a, b, fn=fn: calls.append(1) or fn(a, b))
+    passes = []
+    word_diagonals = DetFamily.word_diagonals
+    monkeypatch.setattr(DetFamily, "word_diagonals",
+                        lambda self, words: passes.append(1) or word_diagonals(self, words))
+    fam = DetFamily([diagonal_pattern(8, [1, -1, 0.5]), circulant(8, [0.5, 0.5])])
+    p = parse_word("x1 a1 x1 a1 x1 a1 x1 a0 x1 a1 x1 a1 x1 a0")
+    q = parse_word("x1 a0 x1 a1 x1 a0 x1 a1 x1 a0 x1 a1 x1 a0")
+    terms = phi2_terms(p, q, {"1": WignerParams(0.5, 2.0, 1.0)}, FiniteNState(fam))
+    assert terms.s1 != 0 and terms.s2 != 0 and terms.s4 != 0  # odd degrees: no S3
+    assert passes == [1]
+    assert 0 < len(calls) <= 100, len(calls)
+
+
+def test_stack_cut_bounds_a_dense_pass():
+    # N = 64 with a dense member: a stack holds BLOCK_ELEMS // N^2 = 4 words
+    import tracemalloc
+    from unittest import mock
+
+    from wignerfluct import products, states
+    from wignerfluct.annular import pairing_table
+    from wignerfluct.covariance import WignerParams, phi2_terms
+    from wignerfluct.words import parse_word
+
+    p = parse_word("x1 a0 x1 a1 x1 a0 x1 a1 x1 a0")
+    q = parse_word("x1 a1 x1 a0 x1 a1 x1 a1 x1 a0")
+    params = {"1": WignerParams(0.5, 2.0, 1.0)}
+    pairing_table(5, 5)  # cached per (m, n), not per family
+
+    def peak(block):
+        fam = DetFamily([diagonal_pattern(64, [1, -1, 0.5]), circulant(64, [0.5, 0.5])])
+        with mock.patch.object(products, "BLOCK_ELEMS", block), \
+                mock.patch.object(states, "BLOCK_ELEMS", block):
+            tracemalloc.start()
+            try:
+                terms = phi2_terms(p, q, params, FiniteNState(fam))
+                return terms, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    (cut, cut_peak), (whole, whole_peak) = peak(products.BLOCK_ELEMS), peak(2**40)
+    assert cut == whole
+    assert cut_peak < 3e6, cut_peak
+    assert whole_peak > 6e6, whole_peak  # every word of a length in one stack
+
+
+def test_real_gather_words_compose_in_floats_beside_complex_ones():
+    # (-1.5 + 0j)(-1.5 + 0j) has the imaginary part -0.0 in complex arithmetic,
+    # where the per-word path multiplies the real weights as floats: +0.0
+    fam = DetFamily([np.diag([-1.5, -2.0]), np.diag([1j, 2.0])])
+    words = [((0, False, False), (0, False, False)), ((1, False, False),),
+             ((0, False, False), (1, False, False))]
+    got = fam.word_diagonals(words)
+    for word, row in zip(words, got):
+        assert row.tobytes() == fam.word_diagonal(word).tobytes(), word
+    assert np.signbit(got[0].imag).sum() == 0
+
+
+def test_a_complex_member_times_its_transpose_has_the_per_word_bits():
+    # one word multiplies the member itself by its transposed view, which numpy
+    # takes in syrk; a product of copies would be a gemm, apart in the last bits
+    rng = np.random.default_rng(3)
+    shift = np.roll(np.diag(np.exp(1j * rng.uniform(0, 6, 5))), 1, axis=0)
+    fam = DetFamily([rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)), shift])
+    words = []
+    for first in ((0, False, False), (0, False, True), (0, True, False)):
+        for second in ((0, False, False), (0, False, True), (0, True, True)):
+            for third in ((0, False, False), (1, False, False)):
+                words += [(first,), (first, second), (first, second, third)]
+    got = fam.word_diagonals(words)
+    for word, row in zip(words, got):
+        assert row.tobytes() == fam.word_diagonal(word).tobytes(), word
