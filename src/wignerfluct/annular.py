@@ -333,24 +333,8 @@ class PairingTable(namedtuple("PairingTable", "matches row_cycles through points
     through string.  ``points[c]`` holds cycle c's points, 0-padded, as its
     split reads them: a through cycle's outer arc, its first ``outer[c]``
     points, then its inner arc; any other cycle from its minimum, with
-    ``outer[c]`` 0.  ``cycles`` and ``splits`` are the same as tuples.
+    ``outer[c]`` 0.
     """
-
-    @cached_property
-    def _read(self):
-        return [tuple(filter(None, p)) for p in self.points.tolist()]
-
-    @cached_property
-    def cycles(self):
-        """Each distinct cycle from its minimum."""
-        starts = [c.index(min(c)) for c in self._read]
-        return tuple([c[k:] + c[:k] for c, k in zip(self._read, starts)])
-
-    @cached_property
-    def splits(self):
-        """Each distinct cycle's (outer arc, inner arc), None on one circle."""
-        return tuple([(c[:o], c[o:]) if o else None
-                      for c, o in zip(self._read, self.outer.tolist())])
 
 
 def first_appearance(codes):

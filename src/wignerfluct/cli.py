@@ -176,10 +176,9 @@ def parse_config(path):
     _require(doc["family"], "/family", ["matrices"], optional=["norm_bound"])
     if not isinstance(doc["family"]["matrices"], list) or not doc["family"]["matrices"]:
         _fail("/family/matrices", "expected a non-empty list")
-    if doc["family"].get("norm_bound") is not None and not _is_number(
-        doc["family"]["norm_bound"]
-    ):
-        _fail("/family/norm_bound", "expected a number")
+    bound = doc["family"].get("norm_bound")
+    if bound is not None and not (_is_number(bound) and bound >= 0):
+        _fail("/family/norm_bound", "expected a number >= 0")
     if not isinstance(doc["pairs"], list) or not doc["pairs"]:
         _fail("/pairs", "expected a non-empty list")
     n_mats = len(doc["family"]["matrices"])
@@ -234,7 +233,11 @@ def _c2j(z):
 
 
 def _emit(record, out_path):
-    text = json.dumps(record, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN and Infinity are not JSON; parse_config rejects them on input too
+        raise ValueError("the record holds a non-finite number (NaN or Infinity), "
+                         "which JSON cannot represent") from None
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -430,7 +433,7 @@ def cmd_compare(args, with_cumulants=False):
     from .montecarlo import empirical_cov
 
     cfg = _mc_config(args)
-    started = time.time()
+    started = time.perf_counter()
     record = _base_record(cfg)
     runs = []
     any_flag = False
@@ -463,7 +466,7 @@ def cmd_compare(args, with_cumulants=False):
         runs.append(block)
     record["runs"] = runs
     record["discrepancy"] = any_flag
-    record["timing"] = {"seconds": time.time() - started}
+    record["timing"] = {"seconds": time.perf_counter() - started}
     _emit(record, args.out)
     return 1 if any_flag else 0
 

@@ -14,6 +14,9 @@ non-crossing pairings, read as array passes over one ``pairing_table``:
       evaluated as Hadamard functionals;
   S4: pairings with exactly one through string, weighted by eta - 1 - theta
       of its ensemble, again with a Hadamard through factor.
+
+The cycle words of all four channels go to the state in one ``evaluate``
+list; ``phi2_two_term`` checks the sum one pairing at a time.
 """
 
 import math
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annular import enumerate_nc2, first_appearance, is_non_mixing, pairing_table
-from .states import CycleValues, word_key
+from .states import eval_phi_K, eval_phi_tilde_K, word_key
 from .words import Monomial, s_transform
 
 
@@ -118,7 +121,7 @@ def _cycle_values(state, asks):
     word is packed into one integer, 5 bits a letter id, the split from bit 55.
     Returns one complex array per ask.
     """
-    plain, split, places = [], [], []
+    words, places = [], []  # the distinct words of all asks; each ask's rows' places in it
     for letters, points, outer in asks:
         ids = {letter: i for i, letter in enumerate(dict.fromkeys(letters), 1)}
         lid = np.array([0] + [ids[letter] for letter in letters], dtype=np.uint64)
@@ -129,27 +132,20 @@ def _cycle_values(state, asks):
             code |= col << np.uint64(5 * k)
         cuts = np.zeros(len(points), np.uint64) if outer is None else outer.astype(np.uint64)
         first, inverse = first_appearance(code | cuts << np.uint64(55))
-        is_split = cuts[first] > 0
-        places.append((is_split, inverse, len(plain), len(split)))
+        places.append(len(words) + inverse)
         for pts, cut in zip(points[first].tolist(), cuts[first].tolist()):
             if cut:
-                split.append(("".join(map(keys.__getitem__, pts[:cut])),
+                words.append(("".join(map(keys.__getitem__, pts[:cut])),
                               "".join(map(keys.__getitem__, pts[cut:]))))
             else:
-                plain.append("".join(map(keys.__getitem__, pts)))
-    got = [np.array(g, dtype=complex) for g in state.evaluate(plain, split)]
-    out = []
-    for is_split, inverse, p, s in places:
-        values = np.empty(len(is_split), dtype=complex)
-        values[~is_split] = got[0][p:p + len(is_split) - is_split.sum()]
-        values[is_split] = got[1][s:s + is_split.sum()]
-        out.append(values[inverse])
-    return out
+                words.append("".join(map(keys.__getitem__, pts)))
+    got = np.array(state.evaluate(words), dtype=complex)
+    return [got[at] for at in places]
 
 
 def _table_sum(table, rows, used, got, factor=None):
     """fsum over ``rows`` of the product of each row's cycle values, left to right
-    as ``CycleValues.product`` multiplies, times ``factor``, a (real, imaginary)
+    as ``eval_phi_K`` multiplies, times ``factor``, a (real, imaginary)
     pair of per-row arrays.  ``got`` holds the values of the cycles ``used``.
     """
     index = table.row_cycles[rows]
@@ -229,15 +225,14 @@ def phi2_two_term(p, q, params, state):
     if m == 0 or n == 0 or (m + n) % 2:
         return 0j
     labels, letters = _word_data(p, q)
-    values = CycleValues(letters, state)
     vals = []
     for sigma in enumerate_nc2(m, n):
         if not is_non_mixing(sigma, labels):
             continue
-        vals.append(values.product(sigma.kreweras_cycles))
+        vals.append(eval_phi_K(sigma, letters, state))
         wid = _through_label(sigma, labels) if sigma.through_count == 2 else None
         if wid is not None:
             k4 = _get_params(params, wid).k4
             if k4 != 0:
-                vals.append(k4 * values.product(sigma.kreweras_cycles, sigma.through_splits))
+                vals.append(k4 * eval_phi_tilde_K(sigma, letters, state))
     return _csum(vals)

@@ -75,8 +75,8 @@ class SymmetricDiscreteLaw:
 
         ``below`` is a bool array of u's shape for the draw's own use.  The
         values are c*a for c = [u < 2p] - [u < p] - [u < p], so a zero atom
-        below p is -0.0, as it is in ``sample``.  Arithmetic on the masks,
-        not a masked write: those branch on random masks and run ~5x slower.
+        below p is -0.0, as -a is.  Arithmetic on the masks, not a masked
+        write: those branch on random masks and run ~5x slower.
         """
         pr = float(self.p)
         np.less(u, pr, out=below)
@@ -84,13 +84,6 @@ class SymmetricDiscreteLaw:
         u -= below
         u -= below
         u *= math.sqrt(float(self.a2))
-
-    def sample(self, rng, size):
-        """The values of a*s at ``size`` fresh uniforms, the reference for ``atoms``."""
-        a = math.sqrt(float(self.a2))
-        pr = float(self.p)
-        u = rng.random(size)
-        return np.where(u < pr, -a, np.where(u < 2.0 * pr, a, 0.0))
 
 
 @dataclass(frozen=True)

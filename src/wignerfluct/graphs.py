@@ -455,11 +455,6 @@ def _triples_trace(vertices, triples, n):
     return total
 
 
-def graph_trace(graph, family):
-    """Unrestricted trace: sum over all vertex labelings of the A-entry product."""
-    return _triples_trace(graph.vertices, _a_triples(graph, family), family.N)
-
-
 def _mobius(part):
     out = 1
     for b in part:

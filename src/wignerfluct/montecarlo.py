@@ -33,8 +33,8 @@ factor is one ``DetFamily.times_into`` product.  A one-factor word is one
 column, the identity among them, it sums the entries of X that the letter
 picks, without forming X A.  The letters are read only through
 ``DetFamily.operand``, whose cache is filled before the threads start.  A
-degree-0 word's constant trace is the sum of ``DetFamily.word_diagonal``
-of its factors, as ``phi`` reads it.
+degree-0 word's constant trace is the sum of its product's diagonal from
+``products.word_diagonals``, as ``phi`` reads it.
 Covariances are computed without conjugation on the second factor,
 matching the limiting bilinear form; standard errors use batch means.
 """
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import _view, fill_wigners, stream_keys, wigner_dtype
-from .products import BLOCK_ELEMS  # matrix entries per Wigner id in one block
+from .products import BLOCK_ELEMS, word_diagonals
 
 DEFAULT_BATCHES = 40
 # replicates empirical_cov needs: with two, both centered products are
@@ -172,7 +172,7 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
     words = []
     for mono in data:
         if mono.degree == 0:
-            data[mono][:] = family.word_diagonal(mono.scalar_letter.factors).sum()
+            data[mono][:] = word_diagonals(family, [mono.scalar_letter.factors])[0].sum()
         else:
             words.append(mono)
     # words on the same ids run together, longer words later, so that the

@@ -2,10 +2,10 @@
 
 A ``Gather`` (rows, weights) holds such a matrix with no N x N array:
 column j is weights[j] * e_rows[j].  Products of gathers compose as
-gathers.  ``word_diagonals`` computes the diagonals of many words of a
-family's letters in one pass: words of one length together, in stacks of
-at most BLOCK_ELEMS matrix entries, with the bits that one word's product,
-``DetFamily.word_diagonal``, has.
+gathers.  ``word_diagonals``, the one path by which theory and Monte
+Carlo's constant traces multiply words, computes the diagonals of many
+words of a family's letters in one pass: words of one length together,
+in stacks of at most BLOCK_ELEMS matrix entries.
 """
 
 import functools
@@ -104,16 +104,16 @@ def _times_rows(stack, at, op):
 
 
 def word_diagonals(family, words):
-    """``family.word_diagonal`` of each tuple of flagged members, as the rows of one array.
+    """The complex diagonal of the product of each tuple of flagged members,
+    as the rows of one array; the empty tuple's is the identity's.
 
-    Each row has the bits of ``word_diagonal``.  The words are computed
-    in stacks of one length.  Words of gathers compose as (b, N) rows
-    and weights, grouped also by their first complex factor, so that
-    each step multiplies in the dtypes ``_compose`` does on one word.
-    Any other word is built left to right in a (b, N, N) stack, each
-    step one matmul per dense operand and one take-and-scale for the
-    slices at a gather.  A stack holds at most BLOCK_ELEMS matrix
-    entries, or one word.
+    The words are computed in stacks of one length.  Words of gathers
+    compose as (b, N) rows and weights, grouped also by their first
+    complex factor, so that each step multiplies in the dtypes
+    ``_compose`` does on one word.  Any other word is built left to
+    right in a (b, N, N) stack, each step one matmul per dense operand
+    and one take-and-scale for the slices at a gather.  A stack holds
+    at most BLOCK_ELEMS matrix entries, or one word.
     """
     n = family.N
     ops, column = [], {}  # the one-factor operands, and each factor's place
@@ -147,6 +147,7 @@ def word_diagonals(family, words):
                 Gather(*map(np.stack, zip(*[ops[c] for c in col]))) for col in cols.T])
             out[at] = np.where(g[0] == np.arange(n), g[1], 0)
     return out
+
 
 def _product_stack(n, cols, ops):
     """The (b, N, N) stack of the products of the operands ``cols[k]``, left to right."""

@@ -1,34 +1,33 @@
 """Concrete deterministic families and the functionals phi, phi_hadamard, phi_t.
 
 One state class, ``FiniteNState``, evaluates the functionals the covariance
-sum needs and memoizes them as scalars under every equivalent key: every
-rotation of the word for ``phi``, both transposes of each argument in both
-orders for ``phi_hadamard``.  A key is a word's ``word_key``, one character
-a flagged factor.  A miss is computed on the state's family (the
-covariance needs its Hadamard functionals, not only its *-distribution),
-on one representative of its class: the least rotation, or of each
-argument and its transpose the one with fewer transposed factors, in
-sorted order: no value depends on which key, or pair, came first.
-``FiniteNState.evaluate`` takes many words and pairs at once and computes
-all their missing classes in one pass of ``DetFamily.word_diagonals``;
-``phi`` and ``phi_hadamard`` are its one-word case.  ``phi_transpose(p, q)``
-is ``phi`` of p followed by the reversed transposes of q.  ``CycleValues``
-asks the state once for each distinct Kreweras cycle of one letter list.
+sum needs and memoizes them as scalars in one dict, under every equivalent
+key: every rotation of the word for ``phi``, both transposes of each
+argument in both orders for ``phi_hadamard``.  A key is a word's
+``word_key``, one character a flagged factor, and a phi_hadamard key a
+pair of them.  A miss is computed on the state's family (the covariance
+needs its Hadamard functionals, not only its *-distribution), on one
+representative of its class: the least rotation, or of each argument and
+its transpose the one with fewer transposed factors, in sorted order: no
+value depends on which key, or pair, came first.  ``FiniteNState.evaluate``
+takes a list of word keys and key pairs and computes all their missing
+classes in one pass of ``products.word_diagonals``, the one place where
+theory multiplies words; ``phi`` and ``phi_hadamard`` are its one-word
+case.  ``phi_transpose(p, q)`` is ``phi`` of p followed by the reversed
+transposes of q.  ``eval_phi_K`` and ``eval_phi_tilde_K`` multiply the
+state's values over one pairing's Kreweras cycles.
 
 A family holds each member with at most one nonzero per column as a
 ``Gather`` (rows, weights), with no N x N array, and composes words of
 gathers as gathers: their diagonals, all that phi and phi_hadamard read,
 cost O(N) a factor.  Any other word is a dense product, built left to
 right with each letter's own operation: a matmul for a dense operand, a
-take-and-scale for a gather.  ``word_diagonals`` (``products``) builds words
-of one length together, as (b, N) rows and weights or as a (b, N, N) stack
-of products, at most BLOCK_ELEMS matrix entries a stack.  ``word_diagonal`` and
-``word_matrix`` build one word, one ``times`` a letter: Monte Carlo's
-constant traces and the tests' oracle.  Monte Carlo multiplies by
-``times_into``, with its pool's allocator where ``times`` passes
-``np.empty``.  The family caches each letter once, as its operand, the
-form ``times`` applies; dense views of letters and words are built from
-the operands on request and not kept.
+take-and-scale for a gather.  ``word_matrix`` builds one word's dense
+product, one ``times`` a letter, as the tests' reference.  Monte Carlo
+multiplies by ``times_into``, with its pool's allocator where
+``times`` passes ``np.empty``.  The family caches each letter once, as its
+operand, the form ``times`` applies; dense views of letters and words are
+built from the operands on request and not kept.
 """
 
 import functools
@@ -88,7 +87,6 @@ class DetFamily:
                 raise ValueError("all family matrices must be square of equal size")
         self.N = n
         self._members = members
-        self._holds_dense = not all(isinstance(m, Gather) for m in members)
         if norm_bound is not None:
             limit = norm_bound * (1 + 1e-9)
             for i, m in enumerate(members):
@@ -115,17 +113,6 @@ class DetFamily:
             raise IndexError("family has no matrix with index %d" % j)
         return self._members[j]
 
-    def _gather(self, factors):
-        """The product of flagged members as a Gather, or None if one is not a gather."""
-        if not factors:
-            return Gather(np.arange(self.N), np.ones(self.N))
-        ops = []
-        for f in factors:
-            ops.append(self.operand(DetLetter((f,))))
-            if not isinstance(ops[-1], Gather):
-                return None
-        return functools.reduce(_compose, ops)
-
     def letter_matrix(self, letter):
         """Dense complex matrix of a (possibly fused) letter (read-only), from its operand."""
         return _matrix(self.operand(letter))
@@ -145,9 +132,7 @@ class DetFamily:
         got = self._operands.get(letter)
         if got is None:
             factors = letter.factors
-            if len(factors) != 1:
-                got = self._gather(factors)
-            else:
+            if len(factors) == 1:
                 (j, star, transpose), = factors
                 got = self._member(j)
                 if isinstance(got, Gather):
@@ -157,6 +142,16 @@ class DetFamily:
                         got = _transpose(got)
                 elif star or transpose:
                     got = None
+            elif factors:
+                ops = []
+                for f in factors:
+                    ops.append(self.operand(DetLetter((f,))))
+                    if not isinstance(ops[-1], Gather):
+                        break
+                else:
+                    got = functools.reduce(_compose, ops)
+            else:
+                got = Gather(np.arange(self.N), np.ones(self.N))
             if isinstance(got, Gather):
                 got = Gather(got[0], _real(got[1]))
             elif got is None:
@@ -220,34 +215,6 @@ class DetFamily:
         first = self.letter_matrix(letters[0] if letters else DetLetter())
         return functools.reduce(self.times, letters[1:], first)
 
-    def word_diagonal(self, factors):
-        """The complex diagonal of the product of a tuple of flagged members (read-only).
-
-        A product of gathers composes factor by factor, left to right as
-        ``times`` multiplies, to one gather, whose diagonal holds the weights
-        at its fixed points and 0 elsewhere: O(N) a factor, and its sum has
-        the bits of the trace of ``word_matrix`` on a letter per factor.
-        Any other product is the diagonal of that ``word_matrix``, and so is
-        the empty product, the identity, in a family that holds a dense
-        member, where an N x N array exists already.
-        """
-        g = self._gather(factors)
-        if g is None or not factors and self._holds_dense:
-            return np.diagonal(self.word_matrix([DetLetter((f,)) for f in factors]))
-        rows, weights = g
-        out = np.zeros(self.N, dtype=complex)
-        fixed = rows == np.arange(self.N)
-        out[fixed] = weights[fixed]
-        return out
-
-    def word_diagonals(self, words):
-        """``word_diagonal`` of each tuple of flagged members, in one stacked pass.
-
-        The rows of one array, with the bits of ``word_diagonal``; see
-        ``products.word_diagonals``.
-        """
-        return word_diagonals(self, words)
-
 
 def word_key(factors):
     """The state's key of a tuple of flagged members: a str of one character
@@ -302,33 +269,33 @@ class FiniteNState:
 
     phi is the normalized trace, phi_hadamard the normalized trace of the
     entry-wise product (which only sees diagonals), phi_transpose the
-    normalized trace of p q^t.  ``evaluate`` computes the classes that are
-    missing, each on its one representative, in one pass of
-    ``DetFamily.word_diagonals``; ``phi`` and ``phi_hadamard`` are its
-    one-word case.
+    normalized trace of p q^t.  One memo holds both: phi under a word's
+    key, phi_hadamard under a pair of keys.  ``evaluate`` computes the
+    classes that are missing, each on its one representative, in one
+    pass of ``products.word_diagonals``; ``phi`` and ``phi_hadamard`` are
+    its one-word case.
     """
 
     def __init__(self, family):
         self.family = family
-        self._phi = {}
-        self._hadamard = {}
+        self._memo = {"": 1.0 + 0.0j}  # the empty word is the identity
 
     @property
     def N(self):
         return self.family.N
 
     def phi(self, letters):
-        return self.evaluate([_letters_key(letters)], ())[0][0]
+        return self.evaluate([_letters_key(letters)])[0]
 
     def phi_hadamard(self, letters_p, letters_q):
-        return self.evaluate((), [(_letters_key(letters_p), _letters_key(letters_q))])[1][0]
+        return self.evaluate([(_letters_key(letters_p), _letters_key(letters_q))])[0]
 
     def phi_transpose(self, letters_p, letters_q):
         rev = [letter.transpose() for letter in reversed(letters_q)]
         return self.phi(list(letters_p) + rev)
 
-    def evaluate(self, keys, pairs):
-        """phi of each word in ``keys``, and phi_hadamard of each pair in ``pairs``, by ``word_key``.
+    def evaluate(self, asks):
+        """The value of each ask, by ``word_key``: phi of a word key, phi_hadamard of a pair of them.
 
         A miss names its class's representative: for phi the least
         rotation, for phi_hadamard of each argument and its transpose the
@@ -338,79 +305,59 @@ class FiniteNState:
         under every key of its class.
         """
         jobs, queued = [], set()  # (representative words, the memo keys of their class)
-        memo = self._phi
-        for key in keys:
-            if key and key not in memo and key not in queued:
-                twice, n = key + key, len(key)
+        for ask in asks:
+            if ask in self._memo or ask in queued:
+                continue
+            if isinstance(ask, str):
+                twice, n = ask + ask, len(ask)
                 rotations = [twice[i:i + n] for i in range(n)]
                 jobs.append(((min(rotations),), rotations))
-                queued.update(rotations)
-        memo = self._hadamard
-        for pair in pairs:
-            if pair not in memo and pair not in queued:
+            else:
                 # a word and its transpose share a diagonal: take the one with fewer t flags
-                pa, pb = [(k, _transpose_key(k)) for k in pair]
+                pa, pb = [(k, _transpose_key(k)) for k in ask]
                 least = tuple(sorted([_fewer_t(*pa), _fewer_t(*pb)]))
                 both = [(a, b) for a in pa for b in pb]
                 jobs.append((least, both + [(b, a) for a, b in both]))
-                queued.update(jobs[-1][1])
+            queued.update(jobs[-1][1])
         per = max(1, BLOCK_ELEMS // (2 * self.N))  # jobs a pass: two diagonals each at most
         for s in range(0, len(jobs), per):
             self._fill(jobs[s:s + per])
-        return ([self._phi[k] if k else 1.0 + 0.0j for k in keys],
-                [self._hadamard[p] for p in pairs])
+        return [self._memo[ask] for ask in asks]
 
     def _fill(self, jobs):
         """Each job's value under its keys: the sum of its word's diagonal, or of its two's product."""
         place = {}  # each distinct word's row of diagonals
         at = [[place.setdefault(w, len(place)) for w in words] for words, _ in jobs]
-        diag = self.family.word_diagonals(list(map(_factors, place)))
+        diag = word_diagonals(self.family, list(map(_factors, place)))
         one = np.array([len(a) == 1 for a in at], dtype=bool)
         first = np.array([a[0] for a in at], dtype=np.intp)
         second = np.array([a[-1] for a in at], dtype=np.intp)
         values = np.empty(len(jobs), dtype=complex)
         values[one] = diag[first[one]].sum(axis=1) / self.N
         values[~one] = (diag[first[~one]] * diag[second[~one]]).sum(axis=1) / self.N
-        for (words, keys), v in zip(jobs, values.tolist()):
-            (self._phi if len(words) == 1 else self._hadamard).update(dict.fromkeys(keys, v))
+        for (_, keys), v in zip(jobs, values.tolist()):
+            self._memo.update(dict.fromkeys(keys, v))
 
 
-class CycleValues:
-    """Kreweras cycle values of one letter list, each asked of ``state`` once.
-
-    ``value`` is ``phi`` of a cycle's letter word, or ``phi_hadamard`` of its
-    (outer, inner) split when one is given; for one (m, n), m fixes a
-    cycle's split.
+def _cycle_product(pairing, letters, state, splits):
+    """Product over the cycles of K(sigma), left to right as Python multiplies,
+    of phi of each cycle's letter word, or of phi_hadamard of its split
+    where ``splits`` gives one.
     """
-
-    def __init__(self, letters, state):
-        self._letters = letters
-        self._state = state
-        self._values = {}  # (cycle, split is None) -> value
-
-    def _word(self, points):
-        return [self._letters[i - 1] for i in points]
-
-    def value(self, cyc, split=None):
-        key = (cyc, split is None)
-        if key not in self._values:
-            self._values[key] = self._state.phi(self._word(cyc)) if split is None else (
-                self._state.phi_hadamard(self._word(split[0]), self._word(split[1])))
-        return self._values[key]
-
-    def product(self, cycles, splits=None):
-        """Product of the cycles' values, left to right, as Python multiplies."""
-        out = 1.0 + 0.0j
-        for cyc, split in zip(cycles, splits or [None] * len(cycles)):
-            out *= self.value(cyc, split)
-        return out
+    if len(letters) != pairing.size:
+        raise ValueError("need m+n letters")
+    out = 1.0 + 0.0j
+    for cyc, split in zip(pairing.kreweras_cycles, splits):
+        if split is None:
+            out *= state.phi([letters[i - 1] for i in cyc])
+        else:
+            out *= state.phi_hadamard(*[[letters[i - 1] for i in arc] for arc in split])
+    return out
 
 
 def eval_phi_K(pairing, letters, state):
     """Product over cycles of K(sigma) of phi of the cycle's letter word."""
-    if len(letters) != pairing.size:
-        raise ValueError("need m+n letters")
-    return CycleValues(letters, state).product(pairing.kreweras_cycles)
+    return _cycle_product(pairing, letters, state, [None] * len(pairing.kreweras_cycles))
 
 
 def eval_phi_tilde_K(pairing, letters, state):
@@ -420,9 +367,7 @@ def eval_phi_tilde_K(pairing, letters, state):
     """
     if pairing.through_count not in (1, 2):
         raise ValueError("phi_tilde requires 1 or 2 through strings")
-    if len(letters) != pairing.size:
-        raise ValueError("need m+n letters")
-    return CycleValues(letters, state).product(pairing.kreweras_cycles, pairing.through_splits)
+    return _cycle_product(pairing, letters, state, pairing.through_splits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from wignerfluct.cli import ConfigError, config_hash, main, parse_config
@@ -115,6 +116,8 @@ def test_malformed_values_exit_with_config_error(tmp_path, capsys):
         ("slack", "1e400", "/slack"),
         ("family", {"matrices": [{"kind": "identity"}], "norm_bound": "1e400"},
          "/family/norm_bound"),
+        ("family", {"matrices": [{"kind": "identity"}], "norm_bound": -1},
+         "/family/norm_bound: expected a number >= 0"),
         ("family", {"matrices": [{"kind": "diagonal_pattern", "values": [1, "1e400"]}]},
          "/family/matrices/0"),
         ("ensembles", {"1": {"theta": "1e400", "eta": 1, "k4": 1}}, "/ensembles/1/theta"),
@@ -149,6 +152,21 @@ def test_law_outside_its_domain_is_a_config_error(tmp_path, capsys, law, message
         assert main([command, "--config", write_config(tmp_path, doc)]) == 2, command
         err = capsys.readouterr().err
         assert err == "config error: /ensembles/2: %s\n" % message, err
+
+
+@pytest.mark.parametrize("command", ["theory", "mc", "compare", "oracle"])
+def test_non_finite_results_are_an_error_not_invalid_json(tmp_path, capsys, command):
+    # finite entries whose products overflow: NaN and Infinity are not JSON
+    # numbers, so there is no record to write, and no verdict
+    doc = base_config()
+    doc["family"] = {"matrices": [{"kind": "diagonal_pattern", "values": [1e308, 1e308]}]}
+    doc["N"] = 4
+    out = tmp_path / "out.json"
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: the record holds a non-finite number "
+                                       "(NaN or Infinity), which JSON cannot represent\n")
+    assert not out.exists()
 
 
 def test_seed_flag_is_a_usage_error(tmp_path, capsys):

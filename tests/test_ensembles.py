@@ -249,6 +249,15 @@ def test_sample_wigner_golden_hash():
     assert h.hexdigest() == DRAWS_SHA256
 
 
+def discrete_sample(law, rng, size):
+    """The values of a*s of a ``SymmetricDiscreteLaw`` at ``size`` fresh
+    uniforms, the reference for its ``atoms``."""
+    a = math.sqrt(float(law.a2))
+    pr = float(law.p)
+    u = rng.random(size)
+    return np.where(u < pr, -a, np.where(u < 2.0 * pr, a, 0.0))
+
+
 def sample_wigner_reference(n, law, seed_key):
     """The sampler before its cached layout: scatter, X + X^H, divide."""
     rng = reference_rng(seed_key)
@@ -262,10 +271,10 @@ def sample_wigner_reference(n, law, seed_key):
         off = rng.standard_normal(k)
         diag = rng.standard_normal(n) * math.sqrt(float(law.diag_variance))
     else:
-        off = law.u.sample(rng, k)
+        off = discrete_sample(law.u, rng, k)
         if not real:
-            off = off + 1j * law.v.sample(rng, k)
-        diag = law.diag.sample(rng, n)
+            off = off + 1j * discrete_sample(law.v, rng, k)
+        diag = discrete_sample(law.diag, rng, n)
     x = np.zeros((n, n), dtype=float if real else complex)
     x[iu] = off
     x = x + x.conj().T

@@ -21,7 +21,6 @@ from wignerfluct.graphs import (
     exact_moment,
     exact_tau2,
     gdc,
-    graph_trace,
     injective_trace,
     leaf_count,
     omega_X,
@@ -37,6 +36,11 @@ from wignerfluct.states import (
     random_fixed,
 )
 from wignerfluct.words import parse_word
+
+
+def graph_trace(graph, family):
+    """Unrestricted trace: sum over all vertex labelings of the A-entry product."""
+    return graphs._triples_trace(graph.vertices, graphs._a_triples(graph, family), family.N)
 
 
 def small_family(n=3):

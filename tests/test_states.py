@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from kreweras_oracles import through_cycles
 from wignerfluct.annular import AnnularPairing, enumerate_nc2, kreweras
+from wignerfluct.products import Gather, _compose, word_diagonals
 from wignerfluct.states import (
     DetFamily,
     FiniteNState,
@@ -600,6 +603,26 @@ def test_gather_families_take_no_dense_arrays():
     assert terms.total == pytest.approx(want.total)
 
 
+def word_diagonal(fam, factors):
+    """The complex diagonal of one word's product, a factor at a time: the
+    bit reference of the stacked pass, ``products.word_diagonals``.
+
+    A product of gathers composes factor by factor, left to right as
+    ``times`` multiplies, to one gather, whose diagonal holds the weights
+    at its fixed points and 0 elsewhere.  Any other product, and the empty
+    one, is the diagonal of ``word_matrix`` on a letter per factor.
+    """
+    letters = [DetLetter((f,)) for f in factors]
+    ops = [fam.operand(letter) for letter in letters]
+    if not ops or not all(isinstance(op, Gather) for op in ops):
+        return np.diagonal(fam.word_matrix(letters))
+    rows, weights = functools.reduce(_compose, ops)
+    out = np.zeros(fam.N, dtype=complex)
+    fixed = rows == np.arange(fam.N)
+    out[fixed] = weights[fixed]
+    return out
+
+
 def stacked_zoo(n, seed):
     """Members of every kind the stacked pass tells apart, at any N >= 1."""
     rng = np.random.default_rng(seed)
@@ -642,30 +665,31 @@ def test_stacked_pass_has_the_bits_of_the_per_word_path(n, seed, block, words):
     keys = [factor_key(word) for word in words]
     with mock.patch.object(products, "BLOCK_ELEMS", block * n * n), \
             mock.patch.object(states, "BLOCK_ELEMS", block * n * n):
-        got = fam.word_diagonals(keys)
+        got = word_diagonals(fam, keys)
         state = FiniteNState(fam)
-        phis, hadamards = state.evaluate(
-            [states.word_key(k) for k in keys],
-            [(states.word_key(a), states.word_key(b)) for a, b in zip(keys, keys[::-1])])
+        values = state.evaluate(
+            [states.word_key(k) for k in keys]
+            + [(states.word_key(a), states.word_key(b)) for a, b in zip(keys, keys[::-1])])
+        phis, hadamards = values[:len(keys)], values[len(keys):]
     for key, row in zip(keys, got):
-        assert row.tobytes() == fam.word_diagonal(key).tobytes(), key
+        assert row.tobytes() == word_diagonal(fam, key).tobytes(), key
     # phi on the least rotation, phi_hadamard on each word or its transpose,
     # the one with fewer t flags, one word at a time as the per-word path did
     for key, value in zip(keys, phis):
-        want = complex(fam.word_diagonal(cyclic_min(key)).sum() / n) if key else 1.0
+        want = complex(word_diagonal(fam, cyclic_min(key)).sum() / n) if key else 1.0
         assert value == want, key
     for (a, b), value in zip(zip(keys, keys[::-1]), hadamards):
         least = sorted(
             min([k, DetLetter(k).transpose().factors], key=lambda k: (sum(f[2] for f in k), k))
             for k in (a, b))
-        p, q = [fam.word_diagonal(k) for k in least]
+        p, q = [word_diagonal(fam, k) for k in least]
         assert value == complex(np.sum(p * q) / n), (a, b)
 
 
 def test_seven_plus_seven_pair_takes_few_products(monkeypatch):
     # one stacked pass for all four channels of the theory_deg7_n8 seed-1
     # pair: the per-word path took 2812 products, one per factor after the first
-    from wignerfluct import products
+    from wignerfluct import products, states
     from wignerfluct.covariance import WignerParams, phi2_terms
     from wignerfluct.words import parse_word
 
@@ -674,9 +698,9 @@ def test_seven_plus_seven_pair_takes_few_products(monkeypatch):
         fn = getattr(products, name)
         monkeypatch.setattr(products, name, lambda a, b, fn=fn: calls.append(1) or fn(a, b))
     passes = []
-    word_diagonals = DetFamily.word_diagonals
-    monkeypatch.setattr(DetFamily, "word_diagonals",
-                        lambda self, words: passes.append(1) or word_diagonals(self, words))
+    stacked = states.word_diagonals
+    monkeypatch.setattr(states, "word_diagonals",
+                        lambda fam, words: passes.append(1) or stacked(fam, words))
     fam = DetFamily([diagonal_pattern(8, [1, -1, 0.5]), circulant(8, [0.5, 0.5])])
     p = parse_word("x1 a1 x1 a1 x1 a1 x1 a0 x1 a1 x1 a1 x1 a0")
     q = parse_word("x1 a0 x1 a1 x1 a0 x1 a1 x1 a0 x1 a1 x1 a0")
@@ -724,9 +748,9 @@ def test_real_gather_words_compose_in_floats_beside_complex_ones():
     fam = DetFamily([np.diag([-1.5, -2.0]), np.diag([1j, 2.0])])
     words = [((0, False, False), (0, False, False)), ((1, False, False),),
              ((0, False, False), (1, False, False))]
-    got = fam.word_diagonals(words)
+    got = word_diagonals(fam, words)
     for word, row in zip(words, got):
-        assert row.tobytes() == fam.word_diagonal(word).tobytes(), word
+        assert row.tobytes() == word_diagonal(fam, word).tobytes(), word
     assert np.signbit(got[0].imag).sum() == 0
 
 
@@ -741,6 +765,6 @@ def test_a_complex_member_times_its_transpose_has_the_per_word_bits():
         for second in ((0, False, False), (0, False, True), (0, True, True)):
             for third in ((0, False, False), (1, False, False)):
                 words += [(first,), (first, second), (first, second, third)]
-    got = fam.word_diagonals(words)
+    got = word_diagonals(fam, words)
     for word, row in zip(words, got):
-        assert row.tobytes() == fam.word_diagonal(word).tobytes(), word
+        assert row.tobytes() == word_diagonal(fam, word).tobytes(), word
