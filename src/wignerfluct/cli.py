@@ -30,7 +30,8 @@ need R >= 3: the batch-means standard error of two replicates is 0.
 restricted growth string, such as ``0.1.1.0``.
 
 Exit codes: 0 ok, 1 discrepancy (compare and report), 2 config, input,
-output or resource error.
+output or resource error, one line on stderr; numpy's floating point
+warnings are not printed.
 """
 
 import argparse
@@ -41,6 +42,8 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 try:  # the interpreter's own SHA-256: hashlib maps OpenSSL's libcrypto, +3.6 MB resident
     from _sha2 import sha256  # Python 3.12+
@@ -54,7 +57,7 @@ from .annular import enumerate_nc2, filter_by_through
 from .covariance import WignerParams, phi2_terms
 from .ensembles import PRESETS, params_of, solve_law
 from .states import FiniteNState, MatrixSpecError, family_from_json
-from .words import parse_word
+from .words import EXACT_N_CAP, PARTITION_VERTEX_CAP, parse_word
 
 SCHEMA_VERSION = 1
 
@@ -232,12 +235,16 @@ def _c2j(z):
     return {"re": z.real, "im": z.imag}
 
 
-def _emit(record, out_path):
+def _json_text(record):
     try:
-        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:  # NaN and Infinity are not JSON; parse_config rejects them on input too
         raise ValueError("the record holds a non-finite number (NaN or Infinity), "
                          "which JSON cannot represent") from None
+
+
+def _emit(text, out_path):
+    """Write a record's JSON text to ``out_path``, or print it."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -285,7 +292,7 @@ def cmd_pairings(args):
             for p in pairings
         ],
     }
-    _emit(record, args.out)
+    _emit(_json_text(record), args.out)
     return 0
 
 
@@ -295,7 +302,7 @@ def cmd_theory(args):
     record["theory"] = {
         str(n): [row for _, row in _theory_rows(cfg, cfg.family(n))] for n in cfg.n_list
     }
-    _emit(record, args.out)
+    _emit(_json_text(record), args.out)
     return 0
 
 
@@ -346,7 +353,7 @@ def cmd_mc(args):
             )
         record["mc"].append({"N": n, "R": cfg.r, "covariances": covariances,
                              "cumulants": _cumulants(cfg, samples)})
-    _emit(record, args.out)
+    _emit(_json_text(record), args.out)
     if args.csv:
         import csv
 
@@ -370,10 +377,10 @@ def cmd_mc(args):
 
 def _oracle_value(cfg, family, p, q):
     """The exact covariance where the oracle's caps allow it, else None."""
-    from .graphs import EXACT_N_CAP, PARTITION_VERTEX_CAP, exact_tau2
-
     if 2 * (p.degree + q.degree) > PARTITION_VERTEX_CAP or family.N > EXACT_N_CAP:
         return None
+    from .graphs import exact_tau2
+
     return exact_tau2(p, q, family, cfg.laws)
 
 
@@ -422,9 +429,10 @@ def cmd_oracle(args):
     cfg = parse_config(args.config)
     record = _base_record(cfg)
     record["oracle"] = {str(n): _oracle_rows(cfg, n) for n in cfg.n_list}
+    text = _json_text(record)  # a record that is no JSON leaves no dump either
     if args.dump_partitions:
         _dump_partitions(cfg, record["oracle"].values(), args.dump_partitions)
-    _emit(record, args.out)
+    _emit(text, args.out)
     return 0
 
 
@@ -467,7 +475,7 @@ def cmd_compare(args, with_cumulants=False):
     record["runs"] = runs
     record["discrepancy"] = any_flag
     record["timing"] = {"seconds": time.perf_counter() - started}
-    _emit(record, args.out)
+    _emit(_json_text(record), args.out)
     return 1 if any_flag else 0
 
 
@@ -522,7 +530,10 @@ def main(argv=None):
     parser = build_parser(argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite result is the error _json_text reports; numpy's
+        # warnings would precede it (run_traces passes this to its threads)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -531,5 +542,17 @@ def main(argv=None):
         return 2
 
 
+def run():
+    """``main`` as the program: ``python -m wignerfluct.cli``, the ``wignerfluct`` script.
+
+    ``numpy.random`` imports ``secrets``, whose ``hmac`` would map OpenSSL's
+    libcrypto (3.3 MB resident) through ``_hashlib``.  Nothing here uses
+    OpenSSL, so the program marks ``_hashlib`` unavailable, and ``hashlib``
+    uses its built-in digests.  ``main`` leaves ``sys.modules`` alone.
+    """
+    sys.modules.setdefault("_hashlib", None)
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ensembles import diagonal_moment, entry_moment
+from .words import EXACT_N_CAP, PARTITION_VERTEX_CAP
 
 
 @dataclass(frozen=True)
@@ -492,9 +493,6 @@ def injective_trace(graph, family):
 
 # ---------------------------------------------------------------------------
 # exact finite-N moments
-
-PARTITION_VERTEX_CAP = 10
-EXACT_N_CAP = 16
 
 
 def weighted_partitions(graph, laws, order):

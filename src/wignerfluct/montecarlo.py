@@ -222,10 +222,14 @@ def run_traces(monomials, n, r, ensembles, family, master_seed):
     starts = range(0, r, block)
     workers = min(_cores(), len(starts)) if block == 1 else 1
     errors = []
+    # a thread starts under numpy's default floating point error handling,
+    # not the caller's: each share runs under the calling thread's
+    fp_errors = np.geterr()
 
     def run_share(share):
         try:  # each thread draws and multiplies in slabs of its own pool
-            run_blocks(share, _Slabs(block * n * n * np.dtype(complex).itemsize))
+            with np.errstate(**fp_errors):
+                run_blocks(share, _Slabs(block * n * n * np.dtype(complex).itemsize))
         except BaseException as exc:  # raised again on the calling thread
             errors.append(exc)
 

@@ -63,7 +63,8 @@ class DetFamily:
 
     With ``norm_bound`` b, each matrix's operator norm must be at most
     b (1 + 1e-9).  A gather's norm is exact: the square root of its largest
-    row sum of |w|^2.  For a dense member sqrt(||A||_1 ||A||_inf) bounds the
+    row sum of |w|^2, summed in units near its largest |w| so that no
+    square overflows.  For a dense member sqrt(||A||_1 ||A||_inf) bounds the
     norm from above and accepts most matrices; the rest are checked by the
     exact norm.
     """
@@ -91,7 +92,13 @@ class DetFamily:
             limit = norm_bound * (1 + 1e-9)
             for i, m in enumerate(members):
                 if isinstance(m, Gather):
-                    norm = np.sqrt(np.bincount(m[0], np.abs(m[1]) ** 2, minlength=n).max())
+                    # in units of 2^e, the power of two just above the largest
+                    # |w|: no square overflows, and a power of two scales
+                    # exactly, so a norm that was finite keeps its bits
+                    mag = np.abs(m[1])
+                    e = math.frexp(mag.max())[1]
+                    sums = np.bincount(m[0], np.ldexp(mag, -e) ** 2, minlength=n)
+                    norm = math.ldexp(np.sqrt(sums.max()), e)
                 elif np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf)) <= limit:
                     continue
                 else:

@@ -47,6 +47,13 @@ class DetLetter:
 
 IDENTITY_LETTER = DetLetter()
 
+# the exact oracle's caps (graphs.exact_tau2): its partition walk grows like
+# Bell(V) in the V vertices of the words' cycle graph, two per Wigner letter,
+# and its contractions like N^V.  They are kept here, beside the degree they
+# bound, so that a command tests them without importing the oracle.
+PARTITION_VERTEX_CAP = 10
+EXACT_N_CAP = 16
+
 
 @dataclass(frozen=True)
 class Monomial:

@@ -4,7 +4,11 @@ and every name the benchmark's tracer wraps exists.
 
 import ast
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -117,21 +121,31 @@ def test_package_exports_every_name_it_did():
         wignerfluct.nothing
 
 
-def test_theory_imports_no_monte_carlo_or_oracle_module(tmp_path):
-    # theory runs neither: with no bytecode cache, each import compiles its module
-    import json
-    import os
-    import subprocess
-    import sys
+def run_fresh(script, *args):
+    """Standard output of ``python -c script args`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env, check=True).stdout
 
+
+DIAGONAL = {"kind": "diagonal_pattern", "values": [1, -1]}
+
+
+def write_config(tmp_path, n, matrices, pairs):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "ensembles": {"1": {"theta": 0.5, "eta": 2, "k4": 1}},
-        "family": {"matrices": [{"kind": "diagonal_pattern", "values": [1, -1, 0.5]},
-                                {"kind": "circulant", "first_row": [0.5, 0.5]}]},
-        "pairs": [["x1 a0 x1 a1 x1 a0", "x1 a1 x1 a0 x1 a1"]],
-        "N": [8], "R": 2, "seed": 1,
+        "family": {"matrices": matrices}, "pairs": pairs, "N": [n], "R": 20, "seed": 1,
     }))
+    return config
+
+
+def test_theory_imports_no_monte_carlo_or_oracle_module(tmp_path):
+    # theory runs neither: with no bytecode cache, each import compiles its module
+    config = write_config(tmp_path, 8, [
+        {"kind": "diagonal_pattern", "values": [1, -1, 0.5]},
+        {"kind": "circulant", "first_row": [0.5, 0.5]},
+    ], [["x1 a0 x1 a1 x1 a0", "x1 a1 x1 a0 x1 a1"]])
     script = (
         "import sys\n"
         "import wignerfluct.cli\n"
@@ -139,7 +153,59 @@ def test_theory_imports_no_monte_carlo_or_oracle_module(tmp_path):
         "print(code, sorted(m for m in ('wignerfluct.graphs', 'wignerfluct.montecarlo',\n"
         "                               'numpy.random') if m in sys.modules))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out.json")],
-                         capture_output=True, text=True, env=env, check=True).stdout
+    out = run_fresh(script, config, tmp_path / "out.json")
     assert out.split() == ["0", "[]"], out
+
+
+@pytest.mark.parametrize("n, loaded", [(400, "False"), (8, "True")])
+def test_compare_imports_the_oracle_only_where_it_runs(tmp_path, n, loaded):
+    # the oracle's caps: N <= 16, so at N = 400 it skips every pair
+    config = write_config(tmp_path, n, [DIAGONAL], [["x1 a0", "x1 a0"]])
+    script = (
+        "import sys\n"
+        "from wignerfluct.cli import main\n"
+        "code = main(['compare', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code in (0, 1), 'wignerfluct.graphs' in sys.modules)\n"
+    )
+    assert run_fresh(script, config, tmp_path / "out.json").split() == ["True", loaded]
+
+
+# the state of OpenSSL's binding at the end of a command: whether _hashlib is
+# marked unavailable, and whether libcrypto is mapped (Linux only)
+AFTER = (
+    "maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
+    "print(code, 'numpy.random' in sys.modules, sys.modules.get('_hashlib', 0) is None,\n"
+    "      'libcrypto' in maps)\n"
+)
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("mc", DIAGONAL), ("compare", DIAGONAL), ("report", DIAGONAL),
+    ("theory", {"kind": "random_fixed", "seed": 3}),
+])
+def test_the_program_maps_no_openssl(tmp_path, command, spec):
+    # numpy.random imports secrets, whose hmac would load OpenSSL's libcrypto;
+    # run as ``python -m wignerfluct.cli``, the program marks it unavailable
+    config = write_config(tmp_path, 8, [spec], [["x1 a0", "x1 a0"]])
+    script = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('wignerfluct.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n" + AFTER
+    )
+    out = run_fresh(script, command, "--config", config, "--out", tmp_path / "out.json")
+    assert out.split()[1:] == ["True", "True", "False"], out
+    assert out.split()[0] in ("0", "1"), out
+
+
+def test_main_in_process_leaves_hashlib_alone(tmp_path):
+    # a caller's process keeps its own hashlib: main marks nothing unavailable
+    config = write_config(tmp_path, 8, [DIAGONAL], [["x1 a0", "x1 a0"]])
+    script = (
+        "import sys\n"
+        "from wignerfluct.cli import main\n"
+        "code = main(['mc', '--config', sys.argv[1], '--out', sys.argv[2]])\n" + AFTER
+    )
+    out = run_fresh(script, config, tmp_path / "out.json")
+    assert out.split()[:3] == ["0", "True", "False"], out

@@ -54,6 +54,17 @@ def test_norm_bound_rejects_a_norm_just_above_it():
             DetFamily([m], norm_bound=1.0)
 
 
+def test_gather_norm_check_does_not_overflow():
+    # |w|^2 overflows above about 1.3e154, but the norm 1e200 is inside the bound
+    spec = {"dim": 4, "norm_bound": 1e300,
+            "matrices": [{"kind": "diagonal_pattern", "values": [1e200, 1]}]}
+    with np.errstate(over="raise", invalid="raise"):
+        assert family_from_json(spec).N == 4
+        spec["norm_bound"] = 1e199
+        with pytest.raises(ValueError, match=r"^matrix 0 has norm 1e\+200 > bound 1e\+199$"):
+            family_from_json(spec)
+
+
 def test_random_fixed_has_the_norm_cap():
     for n, seed, cap in [(400, 3, 1.0), (64, 7, 2.5), (6, 3, 1.0)]:
         assert np.linalg.norm(random_fixed(n, seed, cap), 2) == pytest.approx(cap, rel=1e-12)
